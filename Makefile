@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race race-hot race-tcp race-tcp-stress race-shm race-cont race-eager chaos chaos-sim chaos-tcp bench bench-smoke figures mpixrun-smoke ci
+.PHONY: all build test vet race race-hot race-tcp race-tcp-stress conformance-stress race-shm race-cont race-eager chaos chaos-sim chaos-tcp bench bench-smoke figures mpixrun-smoke ci
 
 all: build test
 
@@ -44,6 +44,13 @@ race-tcp-stress:
 	$(GO) test -race -count=1 -timeout 5m \
 		-run 'TestConformance|TestReactorStress|TestOutQueue' \
 		./internal/transport/...
+
+# Flake hunt over the transport conformance battery (sim, tcp, shm and
+# composite): 200 repetitions, so an ordering bug that strikes a few
+# runs in a thousand — the PeerDown verdict racing a write error — fails
+# CI instead of a later tier-1 run. A flake is a bug.
+conformance-stress:
+	$(GO) test -count=200 -timeout 10m -run TestConformance ./internal/transport/...
 
 # Race-detector pass over the shared-memory transport and the
 # node-aware composite router: the mmap ring/doorbell layer, the
@@ -142,8 +149,8 @@ mpixrun-smoke:
 
 # The PR gate: vet, build, the fast suite, the race pass over the
 # instrumented hot-path packages (includes the trylock/pool fast path
-# in core, mpi and nic), the TCP-transport race pass, the shm/composite
-# race pass, the continuation race pass, the relaxed-allreduce race
-# pass, the process-failure chaos matrix, the benchmark smoke, and the
-# multiprocess launcher smoke.
-ci: vet build test race-hot race-tcp race-tcp-stress race-shm race-cont race-eager chaos-tcp bench-smoke mpixrun-smoke
+# in core, mpi and nic), the TCP-transport race pass, the conformance
+# flake hunt, the shm/composite race pass, the continuation race pass,
+# the relaxed-allreduce race pass, the process-failure chaos matrix,
+# the benchmark smoke, and the multiprocess launcher smoke.
+ci: vet build test race-hot race-tcp race-tcp-stress conformance-stress race-shm race-cont race-eager chaos-tcp bench-smoke mpixrun-smoke

@@ -71,7 +71,7 @@ func newConformanceWorld(t *testing.T, ranks int) *transporttest.World {
 	}
 	w.Progress = func() {
 		for _, l := range links {
-			if l.net.closed.Load() {
+			if l.net.hub.Closed() {
 				continue
 			}
 			l.Flush()

@@ -1,18 +1,14 @@
 package shm
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"gompix/internal/fabric"
 	"gompix/internal/nic"
+	"gompix/internal/transport/framed"
 )
-
-// deliverRunCap bounds a same-link delivery run: one RQ lock per run.
-const deliverRunCap = 256
 
 // Link is one VCI's endpoint on the shared-memory transport
 // (nic.Link). Posts append frames to the destination peer's coalescing
@@ -23,73 +19,36 @@ const deliverRunCap = 256
 // every inbound ring on the caller's thread. There is no kernel to
 // interrupt us when a peer produces, so BindWork parks one permanent
 // work unit on the stream's netmod counter, keeping the class polled
-// every pass; an empty poll is two atomic loads per peer ring.
+// every pass; an empty poll is two atomic loads per peer ring. The
+// completion and receive queues are the shared framed.Link.
 type Link struct {
-	net  *Network
-	id   fabric.EndpointID
-	work nic.WorkCounter
-
-	arm func()
-
-	armMu sync.Mutex
-	armed atomic.Bool // fast-path readable; transitions under armMu
-
-	// pending counts this link's posted-but-unsettled frames.
-	pending atomic.Int64
-
-	cqMu sync.Mutex
-	cq   []nic.CQE
-	nCQ  atomic.Int64
-
-	rqMu sync.Mutex
-	rq   []fabric.Packet
-	nRQ  atomic.Int64
+	framed.Link
+	net *Network
 
 	// The interruptible-sleep (nic.Napper) state: a waiter parks in Nap
-	// on wake with a bounding timer; any deliverer — the doorbell
-	// watcher or another stream's progress pass — pokes the channel
-	// after queueing, cutting the sleep short. napping gates the poke's
-	// cost to actual nap windows; napMu serializes nappers (a second
-	// concurrent waiter falls back to a plain sleep); napTimer is
-	// reused across naps to keep the steady state allocation-free.
-	wake     chan struct{}
-	napping  atomic.Bool
+	// on framed.Link.Wake with a bounding timer; any deliverer — the
+	// doorbell watcher or another stream's progress pass — pokes it
+	// after queueing. napMu serializes nappers (a second concurrent
+	// waiter falls back to a plain sleep); napTimer is reused across
+	// naps to keep the steady state allocation-free.
 	napMu    sync.Mutex
 	napTimer *time.Timer
-
-	closed atomic.Bool
 }
-
-// ID returns the link's global endpoint address.
-func (l *Link) ID() fabric.EndpointID { return l.id }
 
 // BindWork attaches the owning stream's netmod work counter and parks
 // the permanent polling unit on it (released on Close): shared-memory
 // receive has no readiness notification, so the netmod class must stay
 // pollable for cross-process arrivals to be seen.
 func (l *Link) BindWork(w nic.WorkCounter) {
-	l.work = w
-	if w != nil {
-		w.Add(1)
-	}
+	l.Link.BindWork(w)
+	l.AddWork(1)
 }
-
-// Now returns the transport clock.
-func (l *Link) Now() time.Duration { return l.net.clk.Now() }
-
-// SetArm registers the idle→busy callback (nic.Armer).
-func (l *Link) SetArm(arm func()) { l.arm = arm }
-
-// PendingTx reports posted-but-unsettled frames (nic.TxPender).
-func (l *Link) PendingTx() int { return int(l.pending.Load()) }
 
 // Close marks the link dead and releases the parked work unit; the
 // Network owns the mappings.
 func (l *Link) Close() error {
-	if l.closed.CompareAndSwap(false, true) {
-		if w := l.work; w != nil {
-			w.Add(-1)
-		}
+	if l.MarkClosed() {
+		l.AddWork(-1)
 	}
 	return nil
 }
@@ -110,7 +69,7 @@ func (l *Link) PostSend(dst fabric.EndpointID, payload any, bytes int, token any
 }
 
 func (l *Link) post(dst fabric.EndpointID, payload any, bytes int, token any, signaled bool) error {
-	if l.closed.Load() || l.net.closed.Load() {
+	if l.net.hub.Closed() {
 		return errClosed
 	}
 	rank := int(dst) % l.net.cfg.WorldSize
@@ -118,32 +77,11 @@ func (l *Link) post(dst fabric.EndpointID, payload any, bytes int, token any, si
 	if p == nil {
 		return fmt.Errorf("shm: endpoint %d (rank %d) not reachable over shared memory", dst, rank)
 	}
-	codec := l.net.codec
-	if codec == nil {
-		panic("shm: no codec installed (transport.CodecSetter not wired)")
-	}
-	p.mu.Lock()
-	if p.down != nil || p.departed {
-		err := p.down
-		if err == nil {
-			err = fmt.Errorf("shm: rank %d departed", p.rank)
-		}
-		p.mu.Unlock()
-		// A signaled post to a down/departed peer reports the failure
-		// through the CQE ONLY: returning the error as well would give
-		// the caller a second completion path for the same token (see
-		// the tcp link's matching branch).
-		if signaled {
-			l.pushCQ(nic.CQE{Token: token, At: l.net.clk.Now(), Err: fmt.Errorf("%w: %v", nic.ErrLinkDown, err)})
-			return nil
-		}
+	p.Mu.Lock()
+	if queued, err := l.Enqueue(&p.Peer, dst, payload, bytes, token, signaled); !queued {
+		p.Mu.Unlock()
 		return err
 	}
-	if err := p.q.appendFrame(codec, l, dst, payload, bytes, token, signaled); err != nil {
-		p.mu.Unlock()
-		return fmt.Errorf("shm: encode: %w", err)
-	}
-	l.pending.Add(1)
 	// Inline pump — but only when the transmit ring is empty. An empty
 	// ring means the consumer may be idle, so publishing (and ringing
 	// its doorbell) right here is the latency path for a lone send. A
@@ -152,101 +90,53 @@ func (l *Link) post(dst fabric.EndpointID, payload any, bytes int, token any, si
 	// densely with its burst neighbors — one ring cell per pump rather
 	// than one per message, which on the message-rate window cuts both
 	// sides' per-cell costs ~60×. Settlement happens under the peer
-	// lock — the scratch belongs to the peer — which is safe because no
-	// path acquires a peer lock while holding a CQ lock.
-	if p.tx != nil && p.tx.head.Load() == p.tx.tail.Load() {
-		l.net.settleFrames(l.net.pumpPeerLocked(p))
+	// lock, which is safe because no path acquires a peer lock while
+	// holding a CQ lock.
+	if p.tx != nil && p.tx.empty() {
+		l.net.pumpPeerLocked(p)
 	}
-	parked := p.q.pending() > 0
-	p.mu.Unlock()
+	parked := p.Q.Pending() > 0
+	p.Mu.Unlock()
 	if parked {
-		l.kick()
+		l.Kick()
 	}
 	return nil
-}
-
-// kick arms the flush poll if the link has pending output and is not
-// already armed; never called under a peer lock.
-func (l *Link) kick() {
-	if l.arm == nil || l.pending.Load() == 0 {
-		return
-	}
-	// Already-armed is the common case on a burst (one kick per post):
-	// the atomic read keeps the mutex off that path. The stale-read
-	// race is benign — Flush only disarms when pending is zero, and
-	// this post bumped pending before reading armed.
-	if l.armed.Load() {
-		return
-	}
-	l.armMu.Lock()
-	if l.armed.Load() {
-		l.armMu.Unlock()
-		return
-	}
-	l.armed.Store(true)
-	l.armMu.Unlock()
-	l.arm()
 }
 
 // Flush pumps every peer's parked output into its transmit ring
 // (nic.Flusher). It reports whether anything moved and whether this
 // link disarmed (nothing of its own left pending).
 func (l *Link) Flush() (made, idle bool) {
-	if l.net.closed.Load() {
+	if l.net.hub.Closed() {
 		return false, true
 	}
-	waiting := false
-	for _, p := range l.net.peers {
-		if p == nil {
-			continue
-		}
-		m, w := l.net.flushPeer(p)
-		made = made || m
-		waiting = waiting || w
-	}
+	made, idle = framed.FlushPeers(&l.Link, l.net.peers, l.net.flushPeer)
 	l.net.ringOwed() // a flush-only driver must still deliver wakeups
-	l.armMu.Lock()
-	idle = l.pending.Load() == 0 && !waiting
-	if idle {
-		l.armed.Store(false)
-	}
-	l.armMu.Unlock()
 	return made, idle
 }
 
 // flushPeer pumps one peer's queue; waiting reports a still-parked
 // tail (ring full).
 func (n *Network) flushPeer(p *peer) (made, waiting bool) {
-	p.mu.Lock()
-	if p.down != nil || p.departed || p.tx == nil {
-		p.mu.Unlock()
+	p.Mu.Lock()
+	if p.tx == nil || p.Q.Pending() == 0 {
+		p.Mu.Unlock()
 		return false, false
 	}
-	if p.q.pending() == 0 {
-		p.mu.Unlock()
-		return false, false
-	}
-	before := p.q.written
-	settled := n.pumpPeerLocked(p)
-	n.settleFrames(settled)
-	made = p.q.written > before
-	waiting = p.q.pending() > 0
-	p.mu.Unlock()
+	made = n.pumpPeerLocked(p)
+	waiting = p.Q.Pending() > 0
+	p.Mu.Unlock()
 	return made, waiting
 }
 
-// pumpPeerLocked pushes queued bytes into the transmit ring and pops
-// the frames the watermark passed. Caller holds p.mu; the returned
-// scratch is only valid until the next pump of this peer, so callers
-// settle before releasing their hold on the send path.
-func (n *Network) pumpPeerLocked(p *peer) []outFrame {
-	if p.tx == nil {
-		return nil
-	}
+// pumpPeerLocked pushes queued bytes into the transmit ring and
+// settles the frames the watermark passed. Caller holds p.Mu and has
+// checked the ring is still mapped.
+func (n *Network) pumpPeerLocked(p *peer) (made bool) {
 	tailBefore := p.tx.tail.Load()
-	before := p.q.written
-	if p.q.pumpTo(p.tx) {
-		n.txChunks.Add(uint64((p.q.written - before + int64(p.tx.cellPayload) - 1) / int64(p.tx.cellPayload)))
+	if cells := p.tx.pumpFrom(&p.Q); cells > 0 {
+		made = true
+		n.txChunks.Add(uint64(cells))
 		// Doorbell gate: wake the consumer only when it may not know
 		// the ring has data. If its head has reached the pre-pump tail,
 		// every older cell was consumed and it may since have gone idle
@@ -261,17 +151,17 @@ func (n *Network) pumpPeerLocked(p *peer) []outFrame {
 			p.bellOwed.Store(true)
 		}
 	}
-	p.scratch = p.q.popSettled(p.scratch)
-	return p.scratch
+	n.hub.Settle(&p.Peer)
+	return made
 }
 
 // ringPeerLocked writes one wakeup byte into the peer's doorbell FIFO,
-// lazily opening the write side. Caller holds p.mu. Steady traffic
+// lazily opening the write side. Caller holds p.Mu. Steady traffic
 // never reaches here (the ring stays nonempty), so the open retries
 // while the peer is still starting cost nothing in steady state.
 func (n *Network) ringPeerLocked(p *peer) {
 	if p.bellFd == -1 {
-		fd, retry := openPeerDoorbell(n.dir, p.rank)
+		fd, retry := openPeerDoorbell(n.dir, p.Rank)
 		if fd < 0 && !retry {
 			p.bellFd = bellClosed
 			return
@@ -287,27 +177,12 @@ func (n *Network) ringPeerLocked(p *peer) {
 	}
 }
 
-// settleFrames delivers success completions for fully published
-// frames.
-func (n *Network) settleFrames(frames []outFrame) {
-	if len(frames) == 0 {
-		return
-	}
-	now := n.clk.Now()
-	for _, f := range frames {
-		if f.signaled {
-			f.link.pushCQ(nic.CQE{Token: f.token, At: now})
-		}
-		f.link.pending.Add(-1)
-	}
-}
-
 // PollRecv drains every inbound ring on the caller's thread
 // (nic.RxPoller) and runs the gated liveness sweep. Reports whether
 // any frame was delivered.
 func (l *Link) PollRecv() (made bool) {
 	n := l.net
-	if n.closed.Load() {
+	if n.hub.Closed() {
 		return false
 	}
 	for _, p := range n.peers {
@@ -335,9 +210,9 @@ func (n *Network) ringOwed() {
 			continue
 		}
 		if p.bellOwed.CompareAndSwap(true, false) {
-			p.mu.Lock()
+			p.Mu.Lock()
 			n.ringPeerLocked(p)
-			p.mu.Unlock()
+			p.Mu.Unlock()
 		}
 	}
 }
@@ -375,163 +250,44 @@ func (n *Network) drainPeerLocked(p *peer) (made bool) {
 		if chunk == nil {
 			break
 		}
-		p.ensureSpace(len(chunk))
-		p.rend += copy(p.rbuf[p.rend:], chunk)
+		p.rd.Fill(copy(p.rd.Room(len(chunk)), chunk))
 		r.advance()
 		n.rxChunks.Add(1)
 	}
-	if p.rend > p.rpos {
+	if p.rd.Buffered() > 0 {
 		made = n.parseFrames(p)
-		p.flushDeliveries()
 	}
 	// Goodbye is honored only once the stream has fully drained, so
 	// every frame published before the marker still delivers.
-	if !p.gone.Load() && p.rend == p.rpos && r.empty() && r.departed() {
+	if !p.gone.Load() && p.rd.Buffered() == 0 && r.empty() && r.departed() {
 		p.gone.Store(true)
-		n.markDeparted(p)
+		n.hub.MarkDeparted(&p.Peer)
 	}
 	return made
 }
 
-// ensureSpace makes room for nb more bytes: compact first, grow only
-// when the live region itself outgrows the buffer (same discipline as
-// the TCP read path).
-func (p *peer) ensureSpace(nb int) {
-	if p.rend+nb <= len(p.rbuf) {
-		return
-	}
-	live := p.rend - p.rpos
-	if p.rpos > 0 {
-		copy(p.rbuf, p.rbuf[p.rpos:p.rend])
-		p.rpos, p.rend = 0, live
-	}
-	if p.rend+nb <= len(p.rbuf) {
-		return
-	}
-	size := len(p.rbuf)
-	if size == 0 {
-		size = 16 << 10
-	}
-	for size < live+nb {
-		size *= 2
-	}
-	nbuf := make([]byte, size)
-	copy(nbuf, p.rbuf[:p.rend])
-	p.rbuf = nbuf
-}
-
-// parseFrames consumes complete frames from the reassembly buffer.
-// Frame corruption in a shared segment is unrecoverable for the byte
-// stream (there is no resync point), so it fails the peer.
+// parseFrames delivers the complete frames reassembled so far. A frame
+// for an unknown endpoint is skipped and counted; a corrupt length or
+// payload in a shared segment is unrecoverable for the byte stream
+// (there is no resync point), so it fails the peer.
 func (n *Network) parseFrames(p *peer) (made bool) {
-	defer func() {
-		if p.rpos == p.rend {
-			p.rpos, p.rend = 0, 0
-		}
-	}()
 	for {
-		avail := p.rend - p.rpos
-		if avail < 4 {
+		frames, err := p.rd.Parse(n.hub, maxFrame)
+		if frames > 0 {
+			made = true
+			n.rxFrames.Add(uint64(frames))
+		}
+		if err == nil {
 			return made
 		}
-		flen := int(binary.LittleEndian.Uint32(p.rbuf[p.rpos:]))
-		if flen < frameHdrLen || flen > maxFrame {
-			n.rxCorrupt.Add(1)
-			n.failStream(p, fmt.Errorf("corrupt frame length %d", flen))
-			return made
-		}
-		if avail < 4+flen {
-			return made
-		}
-		f := p.rbuf[p.rpos+4 : p.rpos+4+flen]
-		dst := fabric.EndpointID(binary.LittleEndian.Uint64(f[0:]))
-		src := fabric.EndpointID(binary.LittleEndian.Uint64(f[8:]))
-		bytes := int(binary.LittleEndian.Uint32(f[16:]))
-		payload, err := n.codec.Decode(f[frameHdrLen:])
-		if err != nil {
-			n.rxCorrupt.Add(1)
-			n.failStream(p, fmt.Errorf("decode: %v", err))
-			return made
-		}
-		p.rpos += 4 + flen
-		tgt := n.lookupLink(dst)
-		if tgt == nil {
+		if _, ok := err.(*framed.UnknownEndpointError); ok {
 			n.rxUnknownEP.Add(1)
 			continue
 		}
-		n.rxFrames.Add(1)
-		p.push(tgt, fabric.Packet{Src: src, Dst: dst, Payload: payload, Bytes: bytes})
-		made = true
-	}
-}
-
-// failStream converts an unrecoverable receive-stream error into a
-// peer failure and discards the buffered bytes.
-func (n *Network) failStream(p *peer, cause error) {
-	p.flushDeliveries()
-	p.rpos, p.rend = 0, 0
-	n.verdict(p, fmt.Errorf("shm: rank %d stream corrupt: %v", p.rank, cause))
-}
-
-// push batches same-link deliveries; one RQ lock per run.
-func (p *peer) push(tgt *Link, pkt fabric.Packet) {
-	if p.dlvTgt != tgt || len(p.dlv) >= deliverRunCap {
-		p.flushDeliveries()
-		p.dlvTgt = tgt
-	}
-	p.dlv = append(p.dlv, pkt)
-	if len(p.dlv) >= deliverRunCap {
-		p.flushDeliveries()
-	}
-}
-
-func (p *peer) flushDeliveries() {
-	if len(p.dlv) == 0 {
-		return
-	}
-	p.dlvTgt.deliverBatch(p.dlv)
-	for i := range p.dlv {
-		p.dlv[i] = fabric.Packet{}
-	}
-	p.dlv = p.dlv[:0]
-	p.dlvTgt = nil
-}
-
-// deliverBatch appends a run of inbound packets to the receive queue.
-func (l *Link) deliverBatch(ps []fabric.Packet) {
-	l.rqMu.Lock()
-	l.rq = append(l.rq, ps...)
-	l.rqMu.Unlock()
-	l.nRQ.Add(int64(len(ps)))
-	if w := l.work; w != nil {
-		w.Add(len(ps))
-	}
-	l.poke()
-}
-
-func (l *Link) pushCQ(cqe nic.CQE) {
-	l.cqMu.Lock()
-	l.cq = append(l.cq, cqe)
-	l.cqMu.Unlock()
-	l.nCQ.Add(1)
-	if w := l.work; w != nil {
-		w.Add(1)
-	}
-	l.poke()
-}
-
-// poke wakes a waiter parked in Nap. The queue bump above and the
-// napping check here are both sequentially-consistent atomics, mirrored
-// by Nap's store-napping-then-check-queues order, so a deliverer that
-// misses the flag guarantees the napper sees the queued entry before
-// parking — the classic no-lost-wakeup handshake.
-func (l *Link) poke() {
-	if !l.napping.Load() {
-		return
-	}
-	select {
-	case l.wake <- struct{}{}:
-	default:
+		n.rxCorrupt.Add(1)
+		p.rd.Reset(nil)
+		n.hub.Verdict(&p.Peer, fmt.Errorf("shm: rank %d stream corrupt: %v", p.Rank, err))
+		return made
 	}
 }
 
@@ -546,12 +302,12 @@ func (l *Link) Nap(d time.Duration) {
 	}
 	defer l.napMu.Unlock()
 	select {
-	case <-l.wake: // discard a stale token from a prior nap
+	case <-l.Wake: // discard a stale token from a prior nap
 	default:
 	}
-	l.napping.Store(true)
-	defer l.napping.Store(false)
-	if l.nRQ.Load() > 0 || l.nCQ.Load() > 0 {
+	l.Napping.Store(true)
+	defer l.Napping.Store(false)
+	if l.QueuedRQ() > 0 || l.QueuedCQ() > 0 {
 		return // arrived between the caller's last poll and here
 	}
 	if l.napTimer == nil {
@@ -560,66 +316,10 @@ func (l *Link) Nap(d time.Duration) {
 		l.napTimer.Reset(d)
 	}
 	select {
-	case <-l.wake:
+	case <-l.Wake:
 		if !l.napTimer.Stop() {
 			<-l.napTimer.C
 		}
 	case <-l.napTimer.C:
 	}
 }
-
-// DrainCQ moves up to cap(buf) completions into buf[:0] (nic.Link).
-func (l *Link) DrainCQ(buf []nic.CQE) []nic.CQE {
-	buf = buf[:0]
-	if l.nCQ.Load() == 0 || cap(buf) == 0 {
-		return buf
-	}
-	l.cqMu.Lock()
-	n := len(l.cq)
-	if c := cap(buf); n > c {
-		n = c
-	}
-	buf = append(buf, l.cq[:n]...)
-	rest := copy(l.cq, l.cq[n:])
-	for i := rest; i < len(l.cq); i++ {
-		l.cq[i] = nic.CQE{}
-	}
-	l.cq = l.cq[:rest]
-	l.cqMu.Unlock()
-	l.nCQ.Add(-int64(n))
-	if w := l.work; w != nil {
-		w.Add(-n)
-	}
-	return buf
-}
-
-// DrainRQ moves up to cap(buf) arrived packets into buf[:0] (nic.Link).
-func (l *Link) DrainRQ(buf []fabric.Packet) []fabric.Packet {
-	buf = buf[:0]
-	if l.nRQ.Load() == 0 || cap(buf) == 0 {
-		return buf
-	}
-	l.rqMu.Lock()
-	n := len(l.rq)
-	if c := cap(buf); n > c {
-		n = c
-	}
-	buf = append(buf, l.rq[:n]...)
-	rest := copy(l.rq, l.rq[n:])
-	for i := rest; i < len(l.rq); i++ {
-		l.rq[i] = fabric.Packet{}
-	}
-	l.rq = l.rq[:rest]
-	l.rqMu.Unlock()
-	l.nRQ.Add(-int64(n))
-	if w := l.work; w != nil {
-		w.Add(-n)
-	}
-	return buf
-}
-
-// QueuedCQ returns unpolled completions (one atomic load).
-func (l *Link) QueuedCQ() int { return int(l.nCQ.Load()) }
-
-// QueuedRQ returns unpolled arrivals (one atomic load).
-func (l *Link) QueuedRQ() int { return int(l.nRQ.Load()) }

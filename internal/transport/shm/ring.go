@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sync/atomic"
 	"unsafe"
+
+	"gompix/internal/transport/framed"
 )
 
 // The cross-process ring is the mmap rendition of internal/shmem's
@@ -105,29 +107,12 @@ func openRing(mem []byte, cells, cellPayload int) (*ring, error) {
 	}, nil
 }
 
-// free returns the producer's view of unoccupied cells.
-func (r *ring) free() int { return r.cells - int(r.tail.Load()-r.head.Load()) }
-
 // occupied returns the consumer's view of filled cells.
 func (r *ring) occupied() int { return int(r.tail.Load() - r.head.Load()) }
 
 // empty is the consumer's one-load emptiness probe (the tail load; its
 // own head cursor is stable under the SPSC discipline).
 func (r *ring) empty() bool { return r.tail.Load() == r.head.Load() }
-
-// pushChunk copies one chunk (len(b) <= cellPayload) into the next
-// free cell and publishes it. Returns false when the ring is full.
-func (r *ring) pushChunk(b []byte) bool {
-	tail := r.tail.Load()
-	if tail-r.head.Load() >= uint64(r.cells) {
-		return false
-	}
-	cell := r.data[int(tail%uint64(r.cells))*r.stride:]
-	binary.LittleEndian.PutUint32(cell, uint32(len(b)))
-	copy(cell[cellLenSize:], b)
-	r.tail.Store(tail + 1) // release: publishes the cell contents
-	return true
-}
 
 // claim returns the next free cell's payload slice (capacity
 // cellPayload) without publishing, letting the producer copy into the
@@ -164,6 +149,24 @@ func (r *ring) peek() []byte {
 		n = uint32(r.cellPayload) // corrupt length: clamp, the frame parser rejects it
 	}
 	return cell[cellLenSize : cellLenSize+n]
+}
+
+// pumpFrom copies q's pending bytes into free cells, one chunk per
+// cell, until the queue drains or the ring fills, and returns the cells
+// published. Chunks are cut purely by cell capacity — the receiver's
+// parser reconstructs frame boundaries — so a jumbo frame streams
+// across as many cells as the consumer frees: the sender-side-progress-
+// driven chunking the in-process rings use.
+func (r *ring) pumpFrom(q *framed.OutQueue) (cells int) {
+	for q.Pending() > 0 {
+		cell := r.claim()
+		if cell == nil {
+			break // ring full: resume on the next flush
+		}
+		r.publish(q.Fill(cell))
+		cells++
+	}
+	return cells
 }
 
 // advance consumes the chunk returned by peek.

@@ -1,16 +1,16 @@
 // Package shm is the intra-node transport: per-pair single-producer/
 // single-consumer cell rings in mmap'd file-backed segments, the
 // cross-process rendition of the in-process internal/shmem rings
-// (DESIGN.md §12). Posts coalesce frames into pooled segments (the TCP
-// transport's cumulative-watermark queue, DESIGN.md §11) and
-// sender-side progress pumps the byte stream into free ring cells,
-// chunking large messages across cells; the receiver reassembles
-// frames on its own progress thread via nic.RxPoller. Liveness rides
-// flock: each rank holds an exclusive advisory lock on its alive file,
-// so peer death is detected — and converted into the same
-// PeerDown-verdict-before-failed-frames CQE ordering the TCP transport
-// guarantees — by one non-blocking lock probe, with kernel-accurate
-// semantics under SIGKILL.
+// (DESIGN.md §12). Posts coalesce frames into the out-queue of the
+// framed-link core shared with the TCP transport
+// (internal/transport/framed, DESIGN.md §11) and sender-side progress
+// pumps the byte stream into free ring cells, chunking large messages
+// across cells; the receiver reassembles frames with the core's parser
+// on its own progress thread via nic.RxPoller. Liveness rides flock:
+// each rank holds an exclusive advisory lock on its alive file, so
+// peer death is detected by one non-blocking lock probe, with
+// kernel-accurate semantics under SIGKILL, and handed to the core's
+// verdict.
 package shm
 
 import (
@@ -24,6 +24,7 @@ import (
 	"gompix/internal/fabric"
 	"gompix/internal/nic"
 	"gompix/internal/timing"
+	"gompix/internal/transport/framed"
 )
 
 // Config parameterizes one rank's shared-memory transport.
@@ -66,41 +67,31 @@ var (
 	errClosed = errors.New("shm: transport closed")
 )
 
-// peer is the per-remote-rank state: the transmit ring this rank
-// produces, its pending output queue, and the receive ring it
+// peer is the per-remote-rank state: the shared out-queue and verdict
+// state, the transmit ring this rank produces, and the receive ring it
 // consumes, plus the liveness-probe handle.
 type peer struct {
-	rank int
-
-	// mu guards the tx side.
-	mu       sync.Mutex
-	q        outQueue
-	tx       *ring
-	txMem    []byte
-	down     error
-	departed bool
-	scratch  []outFrame
+	// Peer.Mu guards the tx side.
+	framed.Peer
+	tx    *ring
+	txMem []byte
 
 	// rxMu guards the rx side (the drain path).
-	rxMu   sync.Mutex
-	rx     *ring
-	rxMem  []byte
-	rbuf   []byte
-	rpos   int
-	rend   int
-	gone   atomic.Bool // rx side observed goodbye (drained) — mirror of departed
-	dlv    []fabric.Packet
-	dlvTgt *Link
+	rxMu  sync.Mutex
+	rx    *ring
+	rxMem []byte
+	rd    framed.Reader
+	gone  atomic.Bool // rx side observed goodbye (drained) — mirror of departed
 
 	// probe is the lazily opened handle on the peer's alive file;
 	// probeMu serializes overlapping liveness sweeps, probeDead (under
-	// mu) latches a delivered death so the sweep stops re-probing.
+	// Mu) latches a delivered death so the sweep stops re-probing.
 	probeMu   sync.Mutex
 	probe     *os.File
 	probeDead bool
 
 	// bellFd is the lazily opened write side of the peer's doorbell
-	// FIFO (under mu): -1 not yet open (retry), bellClosed never retry.
+	// FIFO (under Mu): -1 not yet open (retry), bellClosed never retry.
 	bellFd int
 
 	// bellOwed marks an empty→nonempty ring transition whose wakeup
@@ -112,20 +103,12 @@ type peer struct {
 	bellOwed atomic.Bool
 }
 
-// linkTable is the atomic link snapshot (same shape as the TCP
-// transport's): one map for the drain path, one list for fan-outs.
-type linkTable struct {
-	byEP map[fabric.EndpointID]*Link
-	list []*Link
-}
-
 // Network is one rank's shared-memory transport instance
 // (transport.Transport).
 type Network struct {
-	cfg   Config
-	dir   string
-	codec nic.Codec
-	clk   timing.Clock
+	cfg Config
+	dir string
+	hub *framed.Hub
 
 	jobLock *os.File
 	alive   *os.File
@@ -135,10 +118,6 @@ type Network struct {
 	bell    *os.File
 	watcher sync.WaitGroup
 	started atomic.Bool
-
-	mu      sync.Mutex
-	closed  atomic.Bool
-	linkTab atomic.Pointer[linkTable]
 
 	peers []*peer // indexed by rank; nil at self and non-shm ranks
 
@@ -151,7 +130,6 @@ type Network struct {
 	rxFrames    atomic.Uint64
 	rxCorrupt   atomic.Uint64
 	rxUnknownEP atomic.Uint64
-	peersDown   atomic.Uint64
 	bellsRung   atomic.Uint64
 	reclaimed   int
 }
@@ -193,7 +171,7 @@ func New(cfg Config) (*Network, error) {
 	n := &Network{
 		cfg:   cfg,
 		dir:   dir,
-		clk:   timing.NewRealClock(),
+		hub:   framed.NewHub("shm", timing.NewRealClock()),
 		peers: make([]*peer, cfg.WorldSize),
 	}
 	n.reclaimed = reclaimStale(base, dir, cfg.StaleAfter)
@@ -220,7 +198,7 @@ func New(cfg Config) (*Network, error) {
 		if r == cfg.Rank || r < 0 || r >= cfg.WorldSize {
 			continue
 		}
-		p := &peer{rank: r, bellFd: -1}
+		p := &peer{Peer: framed.Peer{Rank: r}, bellFd: -1}
 		if p.txMem, err = openRingFile(dir, cfg.Rank, r, cfg.Cells, cfg.CellPayload); err == nil {
 			p.tx, err = openRing(p.txMem, cfg.Cells, cfg.CellPayload)
 		}
@@ -278,7 +256,7 @@ func (n *Network) watchBell() {
 		if _, err := n.bell.Read(buf); err != nil {
 			return // closed by shutdown
 		}
-		if n.closed.Load() {
+		if n.hub.Closed() {
 			return
 		}
 		for _, p := range n.peers {
@@ -303,17 +281,17 @@ func (n *Network) Stats() Stats {
 		RxFrames:         n.rxFrames.Load(),
 		CorruptFrames:    n.rxCorrupt.Load(),
 		UnknownEndpoints: n.rxUnknownEP.Load(),
-		PeersDown:        n.peersDown.Load(),
+		PeersDown:        uint64(n.hub.PeersDown.Load()),
 		BellsRung:        n.bellsRung.Load(),
 		ReclaimedDirs:    n.reclaimed,
 	}
 }
 
 // SetCodec installs the frame codec (transport.CodecSetter).
-func (n *Network) SetCodec(c nic.Codec) { n.codec = c }
+func (n *Network) SetCodec(c nic.Codec) { n.hub.Codec = c }
 
 // SetClock installs the completion clock (transport.ClockSetter).
-func (n *Network) SetClock(c timing.Clock) { n.clk = c }
+func (n *Network) SetClock(c timing.Clock) { n.hub.Clock = c }
 
 // Multiprocess reports true: ranks are separate OS processes.
 func (n *Network) Multiprocess() bool { return true }
@@ -336,45 +314,12 @@ func (n *Network) AddLink(rank, vci int) (nic.Link, error) {
 	if rank != n.cfg.Rank {
 		return nil, fmt.Errorf("shm: AddLink for rank %d on rank %d's transport", rank, n.cfg.Rank)
 	}
-	l := &Link{net: n, id: n.EndpointOf(rank, vci), wake: make(chan struct{}, 1)}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.closed.Load() {
-		return nil, errClosed
+	l := &Link{net: n}
+	l.Wake = make(chan struct{}, 1)
+	if err := n.hub.AddLink(&l.Link, n.EndpointOf(rank, vci)); err != nil {
+		return nil, err
 	}
-	old := n.linkTab.Load()
-	if old != nil {
-		if _, dup := old.byEP[l.id]; dup {
-			return nil, fmt.Errorf("shm: duplicate link for endpoint %d", l.id)
-		}
-	}
-	tab := &linkTable{byEP: make(map[fabric.EndpointID]*Link)}
-	if old != nil {
-		for id, ol := range old.byEP {
-			tab.byEP[id] = ol
-		}
-		tab.list = append(tab.list, old.list...)
-	}
-	tab.byEP[l.id] = l
-	tab.list = append(tab.list, l)
-	n.linkTab.Store(tab)
 	return l, nil
-}
-
-func (n *Network) lookupLink(ep fabric.EndpointID) *Link {
-	tab := n.linkTab.Load()
-	if tab == nil {
-		return nil
-	}
-	return tab.byEP[ep]
-}
-
-func (n *Network) linkList() []*Link {
-	tab := n.linkTab.Load()
-	if tab == nil {
-		return nil
-	}
-	return tab.list
 }
 
 // Close is the graceful shutdown: pump what fits, publish the goodbye
@@ -393,24 +338,24 @@ func (n *Network) Close() error {
 func (n *Network) Kill() { n.shutdown(false) }
 
 func (n *Network) shutdown(goodbye bool) {
-	if !n.closed.CompareAndSwap(false, true) {
+	if !n.hub.Close() {
 		return
 	}
 	for _, p := range n.peers {
 		if p == nil {
 			continue
 		}
-		p.mu.Lock()
-		if goodbye && p.down == nil && !p.departed {
-			p.q.pumpTo(p.tx)
+		p.Mu.Lock()
+		if goodbye && p.Live() {
+			p.tx.pumpFrom(&p.Q)
 			p.tx.sayGoodbye()
 			// Ring unconditionally so an idle peer notices the goodbye
 			// marker (and any final frames) without waiting out a timer.
 			n.ringPeerLocked(p)
 		}
-		frames := p.q.takeAll(nil)
-		p.mu.Unlock()
-		n.failFrames(frames, errClosed)
+		frames := p.Q.TakeAll(nil)
+		p.Mu.Unlock()
+		n.hub.FailFrames(frames, errClosed)
 	}
 	// Stop the doorbell watcher before tearing down: closing the FIFO
 	// unblocks its parked read. The rxMu discipline already makes its
@@ -429,7 +374,7 @@ func (n *Network) shutdown(goodbye bool) {
 			if p == nil {
 				continue
 			}
-			os.Remove(ringPath(n.dir, n.cfg.Rank, p.rank))
+			os.Remove(ringPath(n.dir, n.cfg.Rank, p.Rank))
 		}
 		os.Remove(alivePath(n.dir, n.cfg.Rank))
 		os.Remove(bellPath(n.dir, n.cfg.Rank))
@@ -454,12 +399,12 @@ func (n *Network) teardownMaps() {
 		munmap(p.rxMem)
 		p.rx, p.rxMem = nil, nil
 		p.rxMu.Unlock()
-		p.mu.Lock()
+		p.Mu.Lock()
 		munmap(p.txMem)
 		p.tx, p.txMem = nil, nil
 		closeBellFd(p.bellFd)
 		p.bellFd = bellClosed
-		p.mu.Unlock()
+		p.Mu.Unlock()
 		p.probeMu.Lock()
 		if p.probe != nil {
 			p.probe.Close()
@@ -488,74 +433,8 @@ func (n *Network) reapDir() {
 // fast; queued frames fail, but no verdict CQE is fanned out here —
 // the leg that reached the verdict already delivered it.
 func (n *Network) MarkPeerDown(rank int, cause error) {
-	if rank < 0 || rank >= len(n.peers) || n.peers[rank] == nil {
-		return
-	}
-	p := n.peers[rank]
-	p.mu.Lock()
-	if p.down != nil {
-		p.mu.Unlock()
-		return
-	}
-	p.down = cause
-	frames := p.q.takeAll(nil)
-	p.mu.Unlock()
-	n.failFrames(frames, cause)
-}
-
-// verdict marks a peer permanently failed: the PeerDown control CQE
-// fans out to every local link before any queued-frame failure CQE —
-// the same ordering contract the TCP transport maintains (DESIGN.md
-// §9.1).
-func (n *Network) verdict(p *peer, cause error) {
-	p.mu.Lock()
-	if p.down != nil || p.departed {
-		p.mu.Unlock()
-		return
-	}
-	p.down = cause
-	frames := p.q.takeAll(nil)
-	p.mu.Unlock()
-	n.peerDown(p.rank, cause)
-	n.failFrames(frames, cause)
-}
-
-// peerDown fans the failure verdict out to every local link; skipped
-// when the transport itself is closing.
-func (n *Network) peerDown(rank int, cause error) {
-	if n.closed.Load() {
-		return
-	}
-	n.peersDown.Add(1)
-	now := n.clk.Now()
-	err := fmt.Errorf("%w: %v", nic.ErrLinkDown, cause)
-	for _, l := range n.linkList() {
-		l.pushCQ(nic.CQE{Token: nic.PeerDown{Rank: rank}, At: now, Err: err})
-	}
-}
-
-// markDeparted records a graceful goodbye: posts fail fast, queued
-// frames fail, but no verdict fan-out — departure is not a fault.
-func (n *Network) markDeparted(p *peer) {
-	p.mu.Lock()
-	if p.departed || p.down != nil {
-		p.mu.Unlock()
-		return
-	}
-	p.departed = true
-	frames := p.q.takeAll(nil)
-	p.mu.Unlock()
-	n.failFrames(frames, fmt.Errorf("shm: rank %d departed", p.rank))
-}
-
-// failFrames settles frames that can never reach the ring.
-func (n *Network) failFrames(frames []outFrame, cause error) {
-	now := n.clk.Now()
-	for _, f := range frames {
-		if f.signaled {
-			f.link.pushCQ(nic.CQE{Token: f.token, At: now, Err: fmt.Errorf("%w: %v", nic.ErrLinkDown, cause)})
-		}
-		f.link.pending.Add(-1)
+	if rank >= 0 && rank < len(n.peers) && n.peers[rank] != nil {
+		n.hub.MarkDown(&n.peers[rank].Peer, cause)
 	}
 }
 
@@ -592,14 +471,14 @@ func (n *Network) probePeer(p *peer) {
 		return // another sweep is already probing this peer
 	}
 	defer p.probeMu.Unlock()
-	p.mu.Lock()
-	dead := p.down != nil || p.departed || p.probeDead
-	p.mu.Unlock()
-	if dead || n.closed.Load() {
+	p.Mu.Lock()
+	dead := !p.Live() || p.probeDead
+	p.Mu.Unlock()
+	if dead || n.hub.Closed() {
 		return
 	}
 	if p.probe == nil {
-		f, err := os.OpenFile(alivePath(n.dir, p.rank), os.O_RDWR, 0o600)
+		f, err := os.OpenFile(alivePath(n.dir, p.Rank), os.O_RDWR, 0o600)
 		if err != nil {
 			// Not started yet (or already cleanly departed, which the
 			// goodbye marker reports through the drain path).
@@ -621,8 +500,8 @@ func (n *Network) probePeer(p *peer) {
 	if graceful {
 		return // drain path will finish the departure once the ring empties
 	}
-	p.mu.Lock()
+	p.Mu.Lock()
 	p.probeDead = true
-	p.mu.Unlock()
-	n.verdict(p, fmt.Errorf("shm: rank %d died (alive lock released, epoch %d)", p.rank, n.cfg.Epoch))
+	p.Mu.Unlock()
+	n.hub.Verdict(&p.Peer, fmt.Errorf("shm: rank %d died (alive lock released, epoch %d)", p.Rank, n.cfg.Epoch))
 }

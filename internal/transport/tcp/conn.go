@@ -1,14 +1,13 @@
 package tcp
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
 
-	"gompix/internal/fabric"
+	"gompix/internal/transport/framed"
 )
 
 // errWouldBlock reports an empty socket buffer on a non-blocking read.
@@ -21,9 +20,6 @@ const (
 	// maxFrameLen is the corrupt-length bound: no sane frame is a
 	// gigabyte.
 	maxFrameLen = 1 << 30
-	// deliverRunCap caps a contiguous same-link delivery run before it
-	// is pushed under the link's RQ lock.
-	deliverRunCap = 256
 )
 
 var rbufPool = sync.Pool{
@@ -31,11 +27,11 @@ var rbufPool = sync.Pool{
 }
 
 // connState is one live socket in the reactor: the descriptor, the
-// pooled read buffer with the partial-frame cursor, and the readiness
-// flag that the watcher, the drain pool and caller-thread progress
-// polls coordinate through.
+// frame reader over a pooled read buffer, and the readiness flag that
+// the watcher, the drain pool and caller-thread progress polls
+// coordinate through.
 //
-// Lock order: cs.mu → p.mu (goodbye marking) → link queue locks → n.mu
+// Lock order: cs.mu → p.Mu (goodbye marking) → link queue locks → n.mu
 // (metrics ref). Nothing takes cs.mu while holding any of the others.
 type connState struct {
 	n    *Network
@@ -43,16 +39,11 @@ type connState struct {
 	rank int
 	nb   *nbConn // nil → blocking driver owns the read side
 
-	// mu owns the read/parse state below. Drains from progress polls,
-	// the reactor pool and the blocking driver all serialize here.
+	// mu owns the reader. Drains from progress polls, the reactor pool
+	// and the blocking driver all serialize here.
 	mu      sync.Mutex
-	rbuf    []byte
-	rbufBox *[]byte // pool ticket; nil once the buffer grew
-	rpos    int     // start of the unparsed region
-	rend    int     // end of the buffered region
-
-	dlv     []fabric.Packet // pending same-link delivery run
-	dlvLink *Link
+	rd      framed.Reader
+	rbufBox *[]byte // pool ticket for the reader's initial buffer
 
 	// ready flags buffered input: set by the watcher on a netpoller
 	// wake, cleared by whichever drainer reads the socket dry.
@@ -63,7 +54,7 @@ type connState struct {
 	// incremented (one unit each) so the next progress pass polls the
 	// reactor; clearReady undoes it.
 	bumpMu sync.Mutex
-	bumped []*Link
+	bumped []*framed.Link
 
 	// drained wakes the watcher after a drain empties the socket or
 	// kills the connection; cap 1, best-effort.
@@ -77,8 +68,7 @@ type connState struct {
 func newConnState(n *Network, conn net.Conn, rank int) *connState {
 	cs := &connState{n: n, conn: conn, rank: rank, drained: make(chan struct{}, 1)}
 	cs.rbufBox = rbufPool.Get().(*[]byte)
-	cs.rbuf = *cs.rbufBox
-	cs.dlv = make([]fabric.Packet, 0, deliverRunCap)
+	cs.rd.Reset(*cs.rbufBox)
 	if nb, ok := newNBConn(conn); ok {
 		cs.nb = nb
 	}
@@ -133,11 +123,9 @@ func (cs *connState) markReady() {
 	}
 	cs.bumpMu.Lock()
 	if cs.bumped == nil {
-		links := cs.n.linkList()
+		links := cs.n.hub.Links()
 		for _, l := range links {
-			if w := l.work; w != nil {
-				w.Add(1)
-			}
+			l.AddWork(1)
 		}
 		cs.bumped = links
 	}
@@ -151,9 +139,7 @@ func (cs *connState) clearReady() {
 	if b := cs.bumped; b != nil {
 		cs.bumped = nil
 		for _, l := range b {
-			if w := l.work; w != nil {
-				w.Add(-1)
-			}
+			l.AddWork(-1)
 		}
 	}
 	cs.bumpMu.Unlock()
@@ -166,8 +152,9 @@ func (cs *connState) clearReady() {
 }
 
 // release retires the read side after the driver goroutine exits:
-// poison further drains, return the pooled buffer, undo any readiness
-// bumps so link work counters don't leak.
+// poison further drains, return the pooled buffer (a reader that grew
+// past it no longer uses it), undo any readiness bumps so link work
+// counters don't leak.
 func (cs *connState) release() {
 	cs.dead.Store(true)
 	cs.mu.Lock()
@@ -175,29 +162,9 @@ func (cs *connState) release() {
 		rbufPool.Put(cs.rbufBox)
 		cs.rbufBox = nil
 	}
-	cs.rbuf = nil
+	cs.rd.Reset(nil)
 	cs.mu.Unlock()
 	cs.clearReady()
-}
-
-// ensureSpace guarantees room for the next read: compact the consumed
-// prefix first, then double the buffer for a frame larger than it
-// (the grown buffer is not returned to the pool).
-func (cs *connState) ensureSpace() {
-	if cs.rend < len(cs.rbuf) {
-		return
-	}
-	if cs.rpos > 0 {
-		n := copy(cs.rbuf, cs.rbuf[cs.rpos:cs.rend])
-		cs.rpos, cs.rend = 0, n
-		if cs.rend < len(cs.rbuf) {
-			return
-		}
-	}
-	nb := make([]byte, 2*len(cs.rbuf))
-	copy(nb, cs.rbuf[:cs.rend])
-	cs.rbuf = nb
-	cs.rbufBox = nil
 }
 
 // drainConn reads the socket without blocking and parses complete
@@ -213,10 +180,9 @@ func (n *Network) drainConn(cs *connState, budget int) (made bool) {
 		return false
 	}
 	for {
-		cs.ensureSpace()
-		nr, err := cs.nb.read(cs.rbuf[cs.rend:])
+		nr, err := cs.nb.read(cs.rd.Room(1))
 		if nr > 0 {
-			cs.rend += nr
+			cs.rd.Fill(nr)
 			budget -= nr
 			if n.parseFrames(cs) {
 				made = true
@@ -242,84 +208,34 @@ func (n *Network) drainConn(cs *connState, budget int) (made bool) {
 	}
 }
 
-// parseFrames consumes complete frames from the buffered region. The
-// protocol handling is byte-for-byte the old readLoop's: goodbye marks
-// the peer departed, corrupt lengths/payloads and unknown endpoints
-// drop the connection (counted) without panicking the rank. Frames
-// parsed before a terminal event still deliver. Caller holds cs.mu.
+// parseFrames delivers the complete frames buffered so far. The
+// goodbye marker, sent in place of a length prefix, marks the peer
+// departed; a corrupt length or payload and an unknown endpoint drop
+// the connection (counted) without panicking the rank. Frames parsed
+// before a terminal event still deliver. Caller holds cs.mu.
 func (n *Network) parseFrames(cs *connState) (made bool) {
-	for {
-		avail := cs.rend - cs.rpos
-		if avail < 4 {
-			break
-		}
-		flen := binary.LittleEndian.Uint32(cs.rbuf[cs.rpos:])
-		if flen == goodbyeMark {
-			n.markDeparted(cs.rank)
-			cs.fail(errPeerDeparted)
-			break
-		}
-		if flen < frameHdrLen || flen > maxFrameLen {
-			n.countCorrupt()
-			cs.fail(fmt.Errorf("tcp: corrupt frame length %d from rank %d", flen, cs.rank))
-			break
-		}
-		total := 4 + int(flen)
-		if avail < total {
-			break // partial frame; ensureSpace grows for jumbo frames
-		}
-		frame := cs.rbuf[cs.rpos+4 : cs.rpos+total]
-		cs.rpos += total
-		dst := fabric.EndpointID(binary.LittleEndian.Uint64(frame[0:]))
-		src := fabric.EndpointID(binary.LittleEndian.Uint64(frame[8:]))
-		bytes := int(int32(binary.LittleEndian.Uint32(frame[16:])))
-		payload, err := n.codec.Decode(frame[frameHdrLen:])
-		if err != nil {
-			n.countCorrupt()
-			cs.fail(fmt.Errorf("tcp: decode frame from ep %d: %v", src, err))
-			break
-		}
-		l := n.lookupLink(dst)
-		if l == nil {
-			// Endpoints are advertised only after their link registers,
-			// so a frame for an unknown endpoint is corruption or a
-			// hostile sender — drop the connection, don't crash the rank.
-			n.countUnknownEP()
-			cs.fail(fmt.Errorf("tcp: frame for unknown endpoint %d from rank %d", dst, cs.rank))
-			break
-		}
-		cs.push(l, fabric.Packet{Src: src, Dst: dst, Payload: payload, Bytes: bytes})
-		made = true
+	frames, err := cs.rd.Parse(n.hub, maxFrameLen)
+	if err != nil {
+		n.streamError(cs, err)
 	}
-	cs.flushDeliveries()
-	if cs.rpos == cs.rend {
-		cs.rpos, cs.rend = 0, 0
-	}
-	return made
+	return frames > 0
 }
 
-// push batches consecutive packets for the same destination link so a
-// burst costs one RQ lock per run instead of per frame.
-func (cs *connState) push(l *Link, p fabric.Packet) {
-	if cs.dlvLink != l {
-		cs.flushDeliveries()
-		cs.dlvLink = l
+func (n *Network) streamError(cs *connState, err error) {
+	var lenErr *framed.LengthError
+	var epErr *framed.UnknownEndpointError
+	switch {
+	case errors.As(err, &lenErr) && lenErr.Len == goodbyeMark:
+		n.markDeparted(cs.rank)
+		cs.fail(errPeerDeparted)
+	case errors.As(err, &epErr):
+		// Endpoints are advertised only after their link registers, so
+		// a frame for an unknown endpoint is corruption or a hostile
+		// sender — drop the connection, don't crash the rank.
+		n.countUnknownEP()
+		cs.fail(fmt.Errorf("tcp: %v from rank %d", err, cs.rank))
+	default:
+		n.countCorrupt()
+		cs.fail(fmt.Errorf("tcp: %v from rank %d", err, cs.rank))
 	}
-	cs.dlv = append(cs.dlv, p)
-	if len(cs.dlv) >= deliverRunCap {
-		link := cs.dlvLink
-		cs.flushDeliveries()
-		cs.dlvLink = link
-	}
-}
-
-func (cs *connState) flushDeliveries() {
-	if len(cs.dlv) > 0 {
-		cs.dlvLink.deliverBatch(cs.dlv)
-		for i := range cs.dlv {
-			cs.dlv[i] = fabric.Packet{}
-		}
-		cs.dlv = cs.dlv[:0]
-	}
-	cs.dlvLink = nil
 }

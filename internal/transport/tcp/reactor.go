@@ -61,7 +61,7 @@ func (n *Network) watchConn(cs *connState) error {
 		if err := cs.nb.waitReadable(); err != nil {
 			return cs.takeCause(err)
 		}
-		if cs.dead.Load() || n.isClosed() {
+		if cs.dead.Load() || n.hub.Closed() {
 			return cs.takeCause(nil)
 		}
 		n.reactorWakeups.Add(1)
@@ -90,13 +90,12 @@ func (n *Network) watchConn(cs *connState) error {
 func (n *Network) blockingReadLoop(cs *connState) error {
 	for {
 		cs.mu.Lock()
-		cs.ensureSpace()
-		buf := cs.rbuf[cs.rend:]
+		buf := cs.rd.Room(1)
 		cs.mu.Unlock()
 		nr, err := cs.conn.Read(buf)
 		cs.mu.Lock()
 		if nr > 0 {
-			cs.rend += nr
+			cs.rd.Fill(nr)
 			n.parseFrames(cs)
 		}
 		dead := cs.dead.Load()

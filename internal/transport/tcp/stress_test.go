@@ -9,6 +9,7 @@ import (
 
 	"gompix/internal/fabric"
 	"gompix/internal/nic"
+	"gompix/internal/transport/framed"
 )
 
 // stressWorld is an in-process N-rank × M-VCI TCP topology: one
@@ -70,7 +71,7 @@ func (w *stressWorld) progress() {
 func stressSize(rng *rand.Rand) int {
 	switch rng.Intn(8) {
 	case 0:
-		return segSoft - 16 + rng.Intn(32) // hugs the segment boundary
+		return framed.SegSoft - 16 + rng.Intn(32) // hugs the segment boundary
 	case 1:
 		return readBufSize/2 + rng.Intn(readBufSize) // up to 96K
 	default:

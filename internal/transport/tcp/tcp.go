@@ -28,13 +28,18 @@
 // Failure model: losing an established connection (EOF, reset, write
 // error) starts a bounded re-dial with exponential backoff toward that
 // peer. Reconnecting within the budget is a transient reset — queued
-// frames stay queued and flush over the new socket. Exhausting the
-// budget is the per-peer failure *verdict*: every queued frame toward
-// the peer fails with nic.ErrLinkDown, and every local link receives a
-// control completion whose token is nic.PeerDown{Rank}, which the MPI
-// layer translates into process-failure semantics. Corrupt or
-// misaddressed frames never panic the rank: the offending connection is
-// dropped (triggering the same re-dial path) and the event is counted.
+// frames stay queued, a frame cut short by a failed write included, and
+// flush over the new socket. Exhausting the budget is the per-peer
+// failure *verdict*: every local link receives a control completion
+// whose token is nic.PeerDown{Rank}, which the MPI layer translates
+// into process-failure semantics, and only then does every queued frame
+// toward the peer fail with nic.ErrLinkDown. Corrupt or misaddressed
+// frames never panic the rank: the offending connection is dropped
+// (triggering the same re-dial path) and the event is counted.
+//
+// The frame format, out-queue, parser, completion queues and verdict
+// state are the framed-link core in internal/transport/framed, shared
+// with the shm transport; this package adds the sockets.
 //
 // Endpoint addressing is global and computable without a handshake:
 //
@@ -60,14 +65,13 @@ import (
 	"gompix/internal/metrics"
 	"gompix/internal/nic"
 	"gompix/internal/timing"
+	"gompix/internal/transport/framed"
 )
 
 // helloMagic opens every connection, followed by the epoch and the
 // dialer's rank; a mismatched epoch (a stale process from a previous
 // launch) is rejected at accept.
 const helloMagic = 0x6d706978 // "mpix"
-
-const frameHdrLen = 8 + 8 + 4 // dstEP, srcEP, bytes
 
 // goodbyeMark, sent in place of a frame-length prefix, announces a
 // graceful departure: the peer is closing after finalize, so the EOF
@@ -134,32 +138,22 @@ type Stats struct {
 	PoolDrains int64
 }
 
-// linkTable is the copy-on-write link registry: lookups on the drain
-// path are one atomic load, no lock.
-type linkTable struct {
-	byEP map[fabric.EndpointID]*Link
-	list []*Link
-}
-
 // Network is the TCP transport for one rank: the listener, the peer
 // connection table, and the per-VCI links. It implements
 // transport.Transport plus the CodecSetter/ClockSetter/Starter/
 // PeerRanker extension interfaces.
 type Network struct {
-	cfg   Config
-	ln    net.Listener
-	codec nic.Codec
-	clk   timing.Clock
+	cfg Config
+	ln  net.Listener
+	hub *framed.Hub
 
-	mu     sync.Mutex
-	addrs  []string
-	peers  []*peer // indexed by rank; peers[cfg.Rank] is nil
-	conns  map[*connState]struct{}
-	closed bool
+	mu    sync.Mutex
+	addrs []string
+	peers []*peer // indexed by rank; peers[cfg.Rank] is nil
+	conns map[*connState]struct{}
 
-	// linkTab and connTab are lock-free snapshots for the drain path;
-	// rebuilt under mu on registration changes.
-	linkTab atomic.Pointer[linkTable]
+	// connTab is a lock-free snapshot for the drain path; rebuilt under
+	// mu on registration changes.
 	connTab atomic.Pointer[[]*connState]
 
 	met atomic.Pointer[netMetrics]
@@ -179,7 +173,6 @@ type Network struct {
 	readyConns atomic.Int64
 
 	redials        atomic.Int64
-	peersDown      atomic.Int64
 	rxCorrupt      atomic.Int64
 	rxUnknownEP    atomic.Int64
 	reactorWakeups atomic.Int64
@@ -195,7 +188,6 @@ type netMetrics struct {
 	rxCorrupt   *metrics.Counter
 	rxUnknownEP *metrics.Counter
 	redials     *metrics.Counter
-	peersDown   *metrics.Counter
 
 	wakeups    *metrics.Counter   // tcp.reactor.wakeups
 	poolDrains *metrics.Counter   // tcp.reactor.pool_drains
@@ -205,25 +197,25 @@ type netMetrics struct {
 	flushBatch *metrics.Histogram // tcp.tx.flush_frames (frames settled per flush)
 }
 
-// peer is the outbound side toward one remote rank: the lazily dialed
-// write connection and the coalescing output queue that accumulates
-// frames between flushes.
+// peer is the outbound side toward one remote rank: the shared
+// out-queue and verdict state, plus the lazily dialed write connection
+// and the writev scratch, all under Mu.
 type peer struct {
-	rank int
+	framed.Peer
 
-	mu       sync.Mutex
-	conn     net.Conn
-	dialing  bool  // initial background dial in flight
-	probing  bool  // bounded re-dial after a lost connection in flight
-	down     error // peer-failure verdict; set once, never cleared
-	departed bool  // peer sent its goodbye: EOFs are teardown, not failure
-	q        outQueue
+	conn    net.Conn
+	dialing bool // initial background dial in flight
+	probing bool // bounded re-dial after a lost connection in flight
 
-	// settleScratch is reused by flushPeer for the settled-frame batch;
-	// it is only ever touched under mu. The loss paths (write error,
-	// verdict) allocate instead — they are cold and consume their
-	// frames outside the lock.
-	settleScratch []outFrame
+	iov net.Buffers // reusable writev scratch (writeTo's backing)
+	// iovW is the consumable header handed to net.Buffers.WriteTo.
+	// WriteTo's pointer receiver escapes into the kernel's
+	// buffersWriter interface, so a stack local would be heap-allocated
+	// on every flush; consuming a copy of the iov header through this
+	// field keeps the hot path allocation-free. WriteTo nils consumed
+	// entries in the shared backing array, which is fine — writeTo
+	// rebuilds it from the queue each iteration.
+	iovW net.Buffers
 }
 
 // New binds the rank's listener and returns the transport. The accept
@@ -262,7 +254,7 @@ func New(cfg Config) (*Network, error) {
 	n := &Network{
 		cfg:     cfg,
 		ln:      ln,
-		clk:     timing.NewRealClock(),
+		hub:     framed.NewHub("tcp", timing.NewRealClock()),
 		addrs:   append([]string(nil), cfg.Addrs...),
 		peers:   make([]*peer, cfg.WorldSize),
 		conns:   make(map[*connState]struct{}),
@@ -271,7 +263,7 @@ func New(cfg Config) (*Network, error) {
 	}
 	for r := 0; r < cfg.WorldSize; r++ {
 		if r != cfg.Rank {
-			n.peers[r] = &peer{rank: r}
+			n.peers[r] = &peer{Peer: framed.Peer{Rank: r}}
 		}
 	}
 	if len(n.addrs) < cfg.WorldSize {
@@ -296,10 +288,10 @@ func (n *Network) SetPeerAddrs(addrs []string) {
 }
 
 // SetCodec installs the payload codec (transport.CodecSetter).
-func (n *Network) SetCodec(c nic.Codec) { n.codec = c }
+func (n *Network) SetCodec(c nic.Codec) { n.hub.Codec = c }
 
 // SetClock installs the completion clock (transport.ClockSetter).
-func (n *Network) SetClock(c timing.Clock) { n.clk = c }
+func (n *Network) SetClock(c timing.Clock) { n.hub.Clock = c }
 
 // Multiprocess reports true: each rank is a separate OS process.
 func (n *Network) Multiprocess() bool { return true }
@@ -320,7 +312,7 @@ func (n *Network) RankOfEndpoint(ep fabric.EndpointID) int {
 func (n *Network) Stats() Stats {
 	return Stats{
 		Redials:          n.redials.Load(),
-		PeersDown:        n.peersDown.Load(),
+		PeersDown:        n.hub.PeersDown.Load(),
 		CorruptFrames:    n.rxCorrupt.Load(),
 		UnknownEndpoints: n.rxUnknownEP.Load(),
 		ReactorWakeups:   n.reactorWakeups.Load(),
@@ -334,48 +326,11 @@ func (n *Network) AddLink(rank, vci int) (nic.Link, error) {
 	if rank != n.cfg.Rank {
 		return nil, fmt.Errorf("tcp: AddLink for rank %d on rank %d's transport", rank, n.cfg.Rank)
 	}
-	l := &Link{net: n, id: n.EndpointOf(rank, vci)}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.closed {
-		return nil, errors.New("tcp: transport closed")
+	l := &Link{net: n}
+	if err := n.hub.AddLink(&l.Link, n.EndpointOf(rank, vci)); err != nil {
+		return nil, err
 	}
-	old := n.linkTab.Load()
-	if old != nil {
-		if _, dup := old.byEP[l.id]; dup {
-			return nil, fmt.Errorf("tcp: duplicate link for endpoint %d", l.id)
-		}
-	}
-	tab := &linkTable{byEP: make(map[fabric.EndpointID]*Link)}
-	if old != nil {
-		for id, ol := range old.byEP {
-			tab.byEP[id] = ol
-		}
-		tab.list = append(tab.list, old.list...)
-	}
-	tab.byEP[l.id] = l
-	tab.list = append(tab.list, l)
-	n.linkTab.Store(tab)
 	return l, nil
-}
-
-// lookupLink resolves a destination endpoint on the drain path: one
-// atomic load, no lock.
-func (n *Network) lookupLink(ep fabric.EndpointID) *Link {
-	tab := n.linkTab.Load()
-	if tab == nil {
-		return nil
-	}
-	return tab.byEP[ep]
-}
-
-// linkList returns the registered-link snapshot (shared, read-only).
-func (n *Network) linkList() []*Link {
-	tab := n.linkTab.Load()
-	if tab == nil {
-		return nil
-	}
-	return tab.list
 }
 
 // connList returns the live-connection snapshot (shared, read-only).
@@ -417,11 +372,10 @@ func (n *Network) Kill() { n.shutdown(false) }
 
 func (n *Network) shutdown(goodbye bool) {
 	n.mu.Lock()
-	if n.closed {
+	if !n.hub.Close() {
 		n.mu.Unlock()
 		return
 	}
-	n.closed = true
 	conns := make([]*connState, 0, len(n.conns))
 	for cs := range n.conns {
 		conns = append(conns, cs)
@@ -451,22 +405,13 @@ func (n *Network) sayGoodbye(conns []*connState) {
 			p = n.peers[cs.rank]
 		}
 		if p != nil {
-			p.mu.Lock()
+			p.Mu.Lock()
 		}
 		cs.conn.SetWriteDeadline(time.Now().Add(50 * time.Millisecond))
 		cs.conn.Write(bye[:])
 		if p != nil {
-			p.mu.Unlock()
+			p.Mu.Unlock()
 		}
-	}
-}
-
-func (n *Network) isClosed() bool {
-	select {
-	case <-n.closeCh:
-		return true
-	default:
-		return false
 	}
 }
 
@@ -479,7 +424,7 @@ func (n *Network) startConn(conn net.Conn, rank int) bool {
 	}
 	cs := newConnState(n, conn, rank)
 	n.mu.Lock()
-	if n.closed {
+	if n.hub.Closed() {
 		n.mu.Unlock()
 		conn.Close()
 		return false
@@ -510,16 +455,18 @@ func (n *Network) storeConnTabLocked() {
 // markDeparted records a peer's goodbye: subsequent connection losses
 // to that rank are teardown, not failures.
 func (n *Network) markDeparted(rank int) {
+	if p := n.peer(rank); p != nil {
+		n.hub.MarkDeparted(&p.Peer)
+	}
+}
+
+// peer returns the peer state of rank, or nil for self and out-of-range
+// ranks (a hostile hello can name any rank).
+func (n *Network) peer(rank int) *peer {
 	if rank < 0 || rank >= len(n.peers) {
-		return
+		return nil
 	}
-	p := n.peers[rank]
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.departed = true
-	p.mu.Unlock()
+	return n.peers[rank]
 }
 
 func (n *Network) metricsRef() *netMetrics { return n.met.Load() }
@@ -582,28 +529,32 @@ func (n *Network) acceptLoop() {
 // driver's wg.Done, so the probe's wg.Add never races Close's Wait to
 // zero.
 func (n *Network) connLost(rank int, conn net.Conn, cause error) {
-	n.mu.Lock()
-	closed := n.closed
-	n.mu.Unlock()
-	if closed || rank < 0 || rank >= len(n.peers) {
+	p := n.peer(rank)
+	if p == nil || n.hub.Closed() {
 		return
 	}
-	p := n.peers[rank]
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
+	p.Mu.Lock()
 	if p.conn == conn {
 		p.conn = nil
 	}
-	if p.down != nil || p.departed || p.probing || p.dialing {
-		p.mu.Unlock()
-		return
+	probe := n.startProbeLocked(p)
+	p.Mu.Unlock()
+	if probe {
+		n.wg.Add(1)
+		go n.redial(p, cause)
+	}
+}
+
+// startProbeLocked claims the bounded re-dial toward p unless one is
+// already in flight, the peer is down or departed, or the transport is
+// closing; the caller holds p.Mu and launches redial when it reports
+// true.
+func (n *Network) startProbeLocked(p *peer) bool {
+	if !p.Live() || p.probing || p.dialing || n.hub.Closed() {
+		return false
 	}
 	p.probing = true
-	p.mu.Unlock()
-	n.wg.Add(1)
-	go n.redial(p, cause)
+	return true
 }
 
 // redial attempts to re-establish connectivity to p after a loss:
@@ -614,15 +565,15 @@ func (n *Network) connLost(rank int, conn net.Conn, cause error) {
 func (n *Network) redial(p *peer, cause error) {
 	defer n.wg.Done()
 	n.mu.Lock()
-	addr := n.addrs[p.rank]
+	addr := n.addrs[p.Rank]
 	n.mu.Unlock()
 	backoff := n.cfg.RedialBackoff
 	for attempt := 0; attempt < n.cfg.RedialAttempts; attempt++ {
 		select {
 		case <-n.closeCh:
-			p.mu.Lock()
+			p.Mu.Lock()
 			p.probing = false
-			p.mu.Unlock()
+			p.Mu.Unlock()
 			return
 		case <-time.After(backoff):
 		}
@@ -641,13 +592,13 @@ func (n *Network) redial(p *peer, cause error) {
 			cause = err
 			continue
 		}
-		if !n.startConn(conn, p.rank) {
-			p.mu.Lock()
+		if !n.startConn(conn, p.Rank) {
+			p.Mu.Lock()
 			p.probing = false
-			p.mu.Unlock()
+			p.Mu.Unlock()
 			return // transport closed
 		}
-		p.mu.Lock()
+		p.Mu.Lock()
 		// The loss may have been an inbound conn while our own write
 		// conn stayed healthy; keep the existing one in that case (the
 		// fresh conn still serves as a liveness probe and a read path).
@@ -655,12 +606,12 @@ func (n *Network) redial(p *peer, cause error) {
 			p.conn = conn
 		}
 		p.probing = false
-		p.mu.Unlock()
+		p.Mu.Unlock()
 		n.kickAll()
 		return
 	}
-	n.verdict(p, fmt.Errorf("tcp: rank %d unreachable after %d redial attempts: %v",
-		p.rank, n.cfg.RedialAttempts, cause))
+	n.hub.Verdict(&p.Peer, fmt.Errorf("tcp: rank %d unreachable after %d redial attempts: %v",
+		p.Rank, n.cfg.RedialAttempts, cause))
 }
 
 // redialBackoffCap bounds the decorrelated-jitter backoff growth.
@@ -711,82 +662,22 @@ func NotifyPeerDown(addr string, epoch uint64, deadRank int) error {
 	return err
 }
 
-// verdict marks a peer permanently failed: queued frames fail with
-// ErrLinkDown and every local link receives a PeerDown control
-// completion for the MPI layer to translate.
-func (n *Network) verdict(p *peer, cause error) {
-	p.mu.Lock()
-	if p.down != nil {
-		p.mu.Unlock()
-		return
-	}
-	p.down = cause
-	p.dialing = false
-	p.probing = false
-	frames := p.q.takeAll(nil)
-	p.mu.Unlock()
-	// Verdict first, queued-frame failures second: the PeerDown control
-	// CQE must precede the per-frame ErrLinkDown CQEs in each link's CQ
-	// so the MPI layer sweeps its handle tables (completing rendezvous
-	// sends with the process-failure error) before the stale frame
-	// completions arrive and hit the already-failed guards.
-	n.peerDown(p.rank, cause)
-	n.failFrames(frames, cause)
-}
-
 // MarkPeerDown records a peer failure learned out-of-band — the
 // composite transport cross-wires the shm leg's liveness verdict here
 // — so posts fail fast and any later organic verdict (redial
 // exhaustion) is suppressed. Queued frames fail, but no PeerDown CQE
 // fans out: the leg that reached the verdict already delivered it.
 func (n *Network) MarkPeerDown(rank int, cause error) {
-	if rank < 0 || rank >= len(n.peers) || n.peers[rank] == nil {
-		return
-	}
-	p := n.peers[rank]
-	p.mu.Lock()
-	if p.down != nil {
-		p.mu.Unlock()
-		return
-	}
-	p.down = cause
-	p.dialing = false
-	p.probing = false
-	frames := p.q.takeAll(nil)
-	p.mu.Unlock()
-	n.failFrames(frames, cause)
-}
-
-// peerDown fans the failure verdict out to every local link as a
-// control CQE (token nic.PeerDown); skipped when the transport itself
-// is closing — nobody is listening, and the teardown is not a fault.
-func (n *Network) peerDown(rank int, cause error) {
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return
-	}
-	n.mu.Unlock()
-	links := n.linkList()
-	n.peersDown.Add(1)
-	if met := n.metricsRef(); met != nil {
-		met.peersDown.Inc()
-	}
-	now := n.clk.Now()
-	err := fmt.Errorf("%w: %v", nic.ErrLinkDown, cause)
-	for _, l := range links {
-		if lm := l.met.Load(); lm != nil {
-			lm.peerDown.Inc()
-		}
-		l.pushCQ(nic.CQE{Token: nic.PeerDown{Rank: rank}, At: now, Err: err})
+	if p := n.peer(rank); p != nil {
+		n.hub.MarkDown(&p.Peer, cause)
 	}
 }
 
 // kickAll re-arms the flush poll on every link (after a dial or re-dial
 // lands, frames queued behind it need a new flush pass).
 func (n *Network) kickAll() {
-	for _, l := range n.linkList() {
-		l.kick()
+	for _, l := range n.hub.Links() {
+		l.Kick()
 	}
 }
 
@@ -820,14 +711,14 @@ func (n *Network) peerOf(dst fabric.EndpointID) *peer {
 func (n *Network) dial(p *peer) {
 	defer n.wg.Done()
 	n.mu.Lock()
-	addr := n.addrs[p.rank]
+	addr := n.addrs[p.Rank]
 	n.mu.Unlock()
 	var conn net.Conn
 	var err error
 	deadline := time.Now().Add(n.cfg.DialTimeout)
 	for {
 		conn, err = net.DialTimeout("tcp", addr, time.Second)
-		if err == nil || time.Now().After(deadline) || n.isClosed() {
+		if err == nil || time.Now().After(deadline) || n.hub.Closed() {
 			break
 		}
 		select {
@@ -842,19 +733,19 @@ func (n *Network) dial(p *peer) {
 		}
 	}
 	if err != nil {
-		n.verdict(p, fmt.Errorf("tcp: dial rank %d (%s): %w", p.rank, addr, err))
+		n.hub.Verdict(&p.Peer, fmt.Errorf("tcp: dial rank %d (%s): %w", p.Rank, addr, err))
 		return
 	}
-	if !n.startConn(conn, p.rank) {
-		// Transport closed while dialing: settle the queue without a
-		// verdict fan-out (peerDown skips on closed anyway).
-		n.verdict(p, errors.New("tcp: transport closed"))
+	if !n.startConn(conn, p.Rank) {
+		// Transport closed while dialing: settle the queue (the hub
+		// skips the verdict fan-out once closed).
+		n.hub.Verdict(&p.Peer, errors.New("tcp: transport closed"))
 		return
 	}
-	p.mu.Lock()
+	p.Mu.Lock()
 	p.conn = conn
 	p.dialing = false
-	p.mu.Unlock()
+	p.Mu.Unlock()
 	// Re-kick flush for everything queued behind the dial.
 	n.kickAll()
 }
@@ -863,19 +754,23 @@ func (n *Network) dial(p *peer) {
 // vectored write (resuming across partial writes), then settles the
 // frames behind the written watermark: CQEs for signaled sends, a
 // pending-counter release for all. waiting reports frames stuck behind
-// a dial or probe (the flush poll must keep running for them). A write
-// error is a connection loss, not a verdict: every queued frame fails
-// (the reliability layer re-drives them) and the bounded re-dial
-// starts.
+// a dial or probe (the flush poll must keep running for them).
+//
+// A write error is a connection loss, not a verdict. The frames the
+// kernel accepted settle as usual; the watermark rewinds to the end of
+// the last of them, so a frame cut short goes out again whole; and the
+// queue waits for the bounded re-dial to resend it — or for the
+// verdict, which fails it after the PeerDown CQE. Only a departed peer
+// or a closing transport, for which no re-dial runs, fails it here.
 func (n *Network) flushPeer(p *peer) (made, waiting bool) {
-	p.mu.Lock()
-	if p.q.pending() == 0 {
-		p.mu.Unlock()
+	p.Mu.Lock()
+	if p.Q.Pending() == 0 {
+		p.Mu.Unlock()
 		return false, false
 	}
 	if p.conn == nil {
 		waiting = p.dialing || p.probing
-		p.mu.Unlock()
+		p.Mu.Unlock()
 		return false, waiting
 	}
 	conn := p.conn
@@ -884,39 +779,28 @@ func (n *Network) flushPeer(p *peer) (made, waiting bool) {
 	// window — socket ingest never takes peer locks, so every process
 	// keeps reading (progress polls or the reactor pool) while this
 	// writev blocks.
-	wrote, nsegs, err := p.q.writeTo(conn)
+	wrote, nsegs, err := p.writeTo(conn)
+	nset := n.hub.Settle(&p.Peer)
 	if err != nil {
-		err = fmt.Errorf("tcp: write rank %d: %w", p.rank, err)
+		err = fmt.Errorf("tcp: write rank %d: %w", p.Rank, err)
 		conn.Close()
-		if p.conn == conn {
-			p.conn = nil
+		p.conn = nil
+		p.Q.Rewind()
+		probe := n.startProbeLocked(p)
+		waiting = p.probing || p.dialing
+		var lost []framed.OutFrame
+		if !waiting {
+			lost = p.Q.TakeAll(nil) // closing: no re-dial will resend them
 		}
-		probe := p.down == nil && !p.departed && !p.probing && !p.dialing && !n.isClosed()
-		if probe {
-			p.probing = true
-		}
-		frames := p.q.takeAll(nil)
-		p.mu.Unlock()
-		n.failFrames(frames, err)
+		p.Mu.Unlock()
+		n.hub.FailFrames(lost, err)
 		if probe {
 			n.wg.Add(1)
 			go n.redial(p, err)
 		}
-		return true, false
+		return true, waiting
 	}
-	p.settleScratch = p.q.popSettled(p.settleScratch)
-	settled := p.settleScratch
-	now := n.clk.Now()
-	// Settle under the peer lock: the scratch buffer is reused by the
-	// next flush, and lock order peer → link-CQ is safe.
-	for _, f := range settled {
-		if f.signaled {
-			f.link.pushCQ(nic.CQE{Token: f.token, At: now})
-		}
-		f.link.pending.Add(-1)
-	}
-	nset := len(settled)
-	p.mu.Unlock()
+	p.Mu.Unlock()
 	if wrote {
 		if met := n.metricsRef(); met != nil {
 			met.writevs.Inc()
@@ -927,22 +811,42 @@ func (n *Network) flushPeer(p *peer) (made, waiting bool) {
 	return wrote, false
 }
 
-// failFrames settles frames that can never reach the wire: signaled
-// sends get an error completion, inline ones just release their
-// pending unit.
-func (n *Network) failFrames(frames []outFrame, cause error) {
-	now := n.clk.Now()
-	for _, f := range frames {
-		if f.signaled {
-			f.link.pushCQ(nic.CQE{Token: f.token, At: now, Err: fmt.Errorf("%w: %v", nic.ErrLinkDown, cause)})
-		}
-		f.link.pending.Add(-1)
-	}
-}
+// maxFlushSegs bounds the iovec count handed to one writev.
+const maxFlushSegs = 64
 
-// linkMetrics is the per-link registry wiring.
-type linkMetrics struct {
-	peerDown *metrics.Counter
+// writeTo pushes every pending byte to w, resuming across partial
+// writes: after a short write (a shaped connection, or a generic
+// writer returning io.ErrShortWrite) the next iovec is rebuilt from
+// the written watermark, so frame boundaries survive arbitrary write
+// fragmentation. nsegs reports the iovec entries of the largest batch
+// for metrics. The caller holds p.Mu.
+func (p *peer) writeTo(w io.Writer) (made bool, nsegs int, err error) {
+	for p.Q.Pending() > 0 {
+		p.iov = p.Q.AppendUnwritten(p.iov[:0], maxFlushSegs)
+		if len(p.iov) == 0 {
+			break
+		}
+		nsegs = max(nsegs, len(p.iov))
+		var nn int64
+		var werr error
+		if len(p.iov) == 1 {
+			// single-segment fast path: skip the net.Buffers machinery
+			var nw int
+			nw, werr = w.Write(p.iov[0])
+			nn = int64(nw)
+		} else {
+			p.iovW = p.iov
+			nn, werr = p.iovW.WriteTo(w)
+		}
+		if nn > 0 {
+			made = true
+			p.Q.Advance(nn)
+		}
+		if werr != nil && werr != io.ErrShortWrite {
+			return made, nsegs, werr
+		}
+	}
+	return made, nsegs, nil
 }
 
 // Link is one VCI's endpoint on the TCP transport (nic.Link). Posts
@@ -951,50 +855,12 @@ type linkMetrics struct {
 // the Armer callback, inline when the backlog passes the flush budget,
 // or by the millisecond sweeper. The receive side is the reactor:
 // PollRecv (nic.RxPoller) drains every ready connection on the
-// caller's thread.
+// caller's thread. The completion and receive queues are the shared
+// framed.Link.
 type Link struct {
-	net  *Network
-	id   fabric.EndpointID
-	work nic.WorkCounter
-
-	arm func()
-
-	met atomic.Pointer[linkMetrics]
-
-	// armed guards the idle→busy arm transition; held together with the
-	// pending counter's transitions (armMu, never under a peer lock).
-	armMu sync.Mutex
-	armed bool
-
-	// pending counts this link's posted-but-unflushed frames.
-	pending atomic.Int64
-
-	cqMu sync.Mutex
-	cq   []nic.CQE
-	nCQ  atomic.Int64
-
-	rqMu sync.Mutex
-	rq   []fabric.Packet
-	nRQ  atomic.Int64
-
-	closed atomic.Bool
+	framed.Link
+	net *Network
 }
-
-// ID returns the link's global endpoint address.
-func (l *Link) ID() fabric.EndpointID { return l.id }
-
-// BindWork attaches the owning stream's netmod work counter.
-func (l *Link) BindWork(w nic.WorkCounter) { l.work = w }
-
-// Now returns the transport clock.
-func (l *Link) Now() time.Duration { return l.net.clk.Now() }
-
-// SetArm registers the idle→busy callback (nic.Armer); the MPI layer
-// points it at Stream.AsyncStart for the flush poll.
-func (l *Link) SetArm(arm func()) { l.arm = arm }
-
-// PendingTx reports posted-but-unflushed frames (nic.TxPender).
-func (l *Link) PendingTx() int { return int(l.pending.Load()) }
 
 // UseMetrics wires the link to the registry under the given scope
 // prefix (e.g. "rank0.vci0.nic"): peer-failure verdicts increment
@@ -1008,16 +874,16 @@ func (l *Link) UseMetrics(reg *metrics.Registry, scope string) {
 	if reg == nil {
 		return
 	}
-	l.met.Store(&linkMetrics{peerDown: reg.Counter(scope + ".peer_down")})
+	l.PeerDownMetric.Store(reg.Counter(scope + ".peer_down"))
 	n := l.net
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.met.Load() == nil {
+		n.hub.PeersDownMetric.Store(reg.Counter("tcp.peers_down"))
 		n.met.Store(&netMetrics{
 			rxCorrupt:   reg.Counter("tcp.rx.corrupt"),
 			rxUnknownEP: reg.Counter("tcp.rx.unknown_ep"),
 			redials:     reg.Counter("tcp.redials"),
-			peersDown:   reg.Counter("tcp.peers_down"),
 			wakeups:     reg.Counter("tcp.reactor.wakeups"),
 			poolDrains:  reg.Counter("tcp.reactor.pool_drains"),
 			readyDepth:  reg.Gauge("tcp.reactor.ready"),
@@ -1026,12 +892,6 @@ func (l *Link) UseMetrics(reg *metrics.Registry, scope string) {
 			flushBatch:  reg.Histogram("tcp.tx.flush_frames"),
 		})
 	}
-}
-
-// Close marks the link dead; the Network owns the sockets.
-func (l *Link) Close() error {
-	l.closed.Store(true)
-	return nil
 }
 
 // PostSendInline queues a frame with no completion (nic.Link). The
@@ -1050,56 +910,29 @@ func (l *Link) PostSend(dst fabric.EndpointID, payload any, bytes int, token any
 }
 
 func (l *Link) post(dst fabric.EndpointID, payload any, bytes int, token any, signaled bool) error {
-	if l.closed.Load() {
-		return errors.New("tcp: post on closed link")
-	}
 	p := l.net.peerOf(dst)
 	if p == nil {
 		return fmt.Errorf("tcp: self-send to endpoint %d must use shared memory", dst)
 	}
-	codec := l.net.codec
-	if codec == nil {
-		panic("tcp: no codec installed (transport.CodecSetter not wired)")
-	}
-	p.mu.Lock()
-	if p.down != nil || p.departed {
-		err := p.down
-		if err == nil {
-			err = fmt.Errorf("tcp: rank %d departed", p.rank)
-		}
-		p.mu.Unlock()
-		// Fail fast: dialing a departed peer's closed listener would just
-		// burn the dial window before reaching the same conclusion. A
-		// signaled post reports the failure through the CQE ONLY — the
-		// caller owns the token's completion exactly once, and returning
-		// the error as well would hand it a second completion path (the
-		// eager-send path completes its request inline on a post error,
-		// per the raw NIC's error-means-no-CQE contract).
-		if signaled {
-			l.pushCQ(nic.CQE{Token: token, At: l.net.clk.Now(), Err: fmt.Errorf("%w: %v", nic.ErrLinkDown, err)})
-			return nil
-		}
+	p.Mu.Lock()
+	// Fail fast toward a down or departed peer: dialing a departed
+	// peer's closed listener would just burn the dial window before
+	// reaching the same conclusion.
+	if queued, err := l.Enqueue(&p.Peer, dst, payload, bytes, token, signaled); !queued {
+		p.Mu.Unlock()
 		return err
 	}
 	needDial := p.conn == nil && !p.dialing && !p.probing
 	if needDial {
 		p.dialing = true
 	}
-	if err := p.q.appendFrame(codec, l, dst, payload, bytes, token, signaled); err != nil {
-		if needDial {
-			p.dialing = false
-		}
-		p.mu.Unlock()
-		return fmt.Errorf("tcp: encode: %w", err)
-	}
 	// Adaptive batching: a backlog past the flush budget writes inline
 	// instead of waiting for the next progress pass — under load the
 	// writev batch size adapts to whatever accumulated, idle links
 	// flush on the progress/armed path with no per-frame syscall.
-	big := p.q.pending() >= int64(l.net.cfg.FlushBytes)
-	p.mu.Unlock()
+	big := p.Q.Pending() >= int64(l.net.cfg.FlushBytes)
+	p.Mu.Unlock()
 
-	l.pending.Add(1)
 	if needDial {
 		l.net.wg.Add(1)
 		go l.net.dial(p)
@@ -1107,25 +940,8 @@ func (l *Link) post(dst fabric.EndpointID, payload any, bytes int, token any, si
 	if big {
 		l.net.flushPeer(p)
 	}
-	l.kick()
+	l.Kick()
 	return nil
-}
-
-// kick arms the flush poll if the link has pending output and is not
-// already armed. Called after posts and after a dial completes; never
-// under a peer lock.
-func (l *Link) kick() {
-	if l.arm == nil || l.pending.Load() == 0 {
-		return
-	}
-	l.armMu.Lock()
-	if l.armed {
-		l.armMu.Unlock()
-		return
-	}
-	l.armed = true
-	l.armMu.Unlock()
-	l.arm()
 }
 
 // Flush drains every peer's coalescing queue to its socket
@@ -1135,102 +951,5 @@ func (l *Link) kick() {
 // its own left). Peers still dialing or probing are skipped — their
 // frames stay queued and the poll keeps running.
 func (l *Link) Flush() (made, idle bool) {
-	waiting := false
-	for _, p := range l.net.peers {
-		if p == nil {
-			continue
-		}
-		m, w := l.net.flushPeer(p)
-		made = made || m
-		waiting = waiting || w
-	}
-	// Disarm atomically with the emptiness check so a post racing in
-	// between observes either armed=true (no re-arm needed) or its kick
-	// restarts the poll.
-	l.armMu.Lock()
-	idle = l.pending.Load() == 0 && !waiting
-	if idle {
-		l.armed = false
-	}
-	l.armMu.Unlock()
-	return made, idle
+	return framed.FlushPeers(&l.Link, l.net.peers, l.net.flushPeer)
 }
-
-// deliverBatch appends a run of inbound packets to the receive queue:
-// one lock acquisition and one work bump per run, not per frame.
-func (l *Link) deliverBatch(ps []fabric.Packet) {
-	l.rqMu.Lock()
-	l.rq = append(l.rq, ps...)
-	l.rqMu.Unlock()
-	l.nRQ.Add(int64(len(ps)))
-	if w := l.work; w != nil {
-		w.Add(len(ps))
-	}
-}
-
-func (l *Link) pushCQ(cqe nic.CQE) {
-	l.cqMu.Lock()
-	l.cq = append(l.cq, cqe)
-	l.cqMu.Unlock()
-	l.nCQ.Add(1)
-	if w := l.work; w != nil {
-		w.Add(1)
-	}
-}
-
-// DrainCQ moves up to cap(buf) completions into buf[:0] (nic.Link);
-// same zero-allocation batch contract as the simulated endpoint.
-func (l *Link) DrainCQ(buf []nic.CQE) []nic.CQE {
-	buf = buf[:0]
-	if l.nCQ.Load() == 0 || cap(buf) == 0 {
-		return buf
-	}
-	l.cqMu.Lock()
-	n := len(l.cq)
-	if c := cap(buf); n > c {
-		n = c
-	}
-	buf = append(buf, l.cq[:n]...)
-	rest := copy(l.cq, l.cq[n:])
-	for i := rest; i < len(l.cq); i++ {
-		l.cq[i] = nic.CQE{}
-	}
-	l.cq = l.cq[:rest]
-	l.cqMu.Unlock()
-	l.nCQ.Add(-int64(n))
-	if w := l.work; w != nil {
-		w.Add(-n)
-	}
-	return buf
-}
-
-// DrainRQ moves up to cap(buf) arrived packets into buf[:0] (nic.Link).
-func (l *Link) DrainRQ(buf []fabric.Packet) []fabric.Packet {
-	buf = buf[:0]
-	if l.nRQ.Load() == 0 || cap(buf) == 0 {
-		return buf
-	}
-	l.rqMu.Lock()
-	n := len(l.rq)
-	if c := cap(buf); n > c {
-		n = c
-	}
-	buf = append(buf, l.rq[:n]...)
-	rest := copy(l.rq, l.rq[n:])
-	for i := rest; i < len(l.rq); i++ {
-		l.rq[i] = fabric.Packet{}
-	}
-	l.rq = l.rq[:rest]
-	l.rqMu.Unlock()
-	l.nRQ.Add(-int64(n))
-	if w := l.work; w != nil {
-		w.Add(-n)
-	}
-	return buf
-}
-
-// QueuedCQ returns unpolled completions (one atomic load).
-func (l *Link) QueuedCQ() int { return int(l.nCQ.Load()) }
-
-// QueuedRQ returns unpolled arrivals (one atomic load).
-func (l *Link) QueuedRQ() int { return int(l.nRQ.Load()) }

@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 
 	"gompix/internal/fabric"
 	"gompix/internal/nic"
+	"gompix/internal/transport/framed"
 )
 
 // byteCodec round-trips []byte payloads — enough to exercise framing.
@@ -344,8 +346,8 @@ func TestUnknownEndpointDropsConn(t *testing.T) {
 	conn := sendRaw(t, n1.Addr(), 7, 0)
 	defer conn.Close()
 	// Well-formed frame addressed to an endpoint no link registered.
-	frame := make([]byte, 4+frameHdrLen)
-	binary.LittleEndian.PutUint32(frame[0:], frameHdrLen)
+	frame := make([]byte, 4+framed.HdrLen)
+	binary.LittleEndian.PutUint32(frame[0:], framed.HdrLen)
 	binary.LittleEndian.PutUint64(frame[4:], 9999) // dst endpoint
 	binary.LittleEndian.PutUint64(frame[12:], 0)   // src endpoint
 	binary.LittleEndian.PutUint32(frame[20:], 0)   // bytes
@@ -410,5 +412,88 @@ func TestGracefulDepartureNoVerdict(t *testing.T) {
 	}
 	if n := l0.QueuedCQ(); n != 0 {
 		t.Fatalf("QueuedCQ = %d after departure, want 0 (no verdict CQE)", n)
+	}
+}
+
+// failConn is a write connection whose first Write forwards accept
+// bytes to the real connection underneath and then fails — a socket
+// error that strikes cleanly (accept 0) or in the middle of a frame.
+type failConn struct {
+	net.Conn
+	accept int
+	failed bool
+}
+
+func (c *failConn) Write(p []byte) (int, error) {
+	if c.failed {
+		return c.Conn.Write(p)
+	}
+	c.failed = true
+	n, _ := c.Conn.Write(p[:min(c.accept, len(p))])
+	return n, errors.New("injected write failure")
+}
+
+// TestWriteErrorHoldsFramesForRedial: a write error is a connection
+// loss, not a verdict. The queued frames — one the failed write cut
+// short included — wait for the bounded re-dial and arrive whole and
+// in order over the new connection; no error CQE surfaces and no
+// verdict is reached (DESIGN.md §9.1).
+func TestWriteErrorHoldsFramesForRedial(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		accept int
+	}{
+		{"clean", 0},
+		{"mid-frame", 100}, // frames are 4+20+64 bytes: cuts the second
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n0, n1, l0, l1 := pairCfg(t, Config{RedialAttempts: 5, RedialBackoff: 20 * time.Millisecond})
+			if err := l0.PostSendInline(l1.ID(), []byte("warmup"), 6); err != nil {
+				t.Fatal(err)
+			}
+			drive(t, l0, func() bool { return l1.QueuedRQ() == 1 })
+			l1.DrainRQ(make([]fabric.Packet, 0, 1))
+
+			p := n0.peers[1]
+			p.Mu.Lock()
+			p.conn = &failConn{Conn: p.conn, accept: tc.accept}
+			p.Mu.Unlock()
+			const count = 10
+			msg := func(i int) []byte { return bytes.Repeat([]byte{byte(i)}, 64) }
+			for i := 0; i < count; i++ {
+				if err := l0.PostSend(l1.ID(), msg(i), 64, i); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var cqes []nic.CQE
+			var got []fabric.Packet
+			deadline := time.Now().Add(10 * time.Second)
+			for len(cqes) < count || len(got) < count {
+				l0.Flush()
+				for _, c := range l0.DrainCQ(make([]nic.CQE, 0, count)) {
+					if c.Err != nil || c.Token != len(cqes) {
+						t.Fatalf("CQE %d = %+v, want a clean completion of token %d", len(cqes), c, len(cqes))
+					}
+					cqes = append(cqes, c)
+				}
+				got = append(got, l1.DrainRQ(make([]fabric.Packet, 0, count))...)
+				if time.Now().After(deadline) {
+					t.Fatalf("after the write error: %d/%d CQEs, %d/%d frames delivered",
+						len(cqes), count, len(got), count)
+				}
+				time.Sleep(100 * time.Microsecond)
+			}
+			for i, pk := range got {
+				if !bytes.Equal(pk.Payload.([]byte), msg(i)) {
+					t.Fatalf("frame %d arrived as %v, want %v", i, pk.Payload, msg(i))
+				}
+			}
+			if s := n0.Stats(); s.Redials < 1 || s.PeersDown != 0 {
+				t.Fatalf("sender stats %+v, want a redial and no verdict", s)
+			}
+			if s := n1.Stats(); s.CorruptFrames != 0 || s.PeersDown != 0 {
+				t.Fatalf("receiver stats %+v, want no corrupt frame and no verdict", s)
+			}
+		})
 	}
 }
