@@ -1,6 +1,7 @@
 GO ?= go
+GOFMT ?= gofmt
 
-.PHONY: all build test vet race race-hot race-tcp race-tcp-stress conformance-stress race-shm race-cont race-eager chaos chaos-sim chaos-tcp bench bench-smoke figures mpixrun-smoke ci
+.PHONY: all build test vet fmt-check race race-hot race-tcp race-tcp-stress conformance-stress race-shm race-cont race-eager chaos chaos-sim chaos-tcp bench bench-smoke figures mpixrun-smoke ci
 
 all: build test
 
@@ -13,6 +14,12 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# Fails, listing them, when any tracked Go file is not gofmt-clean,
+# and when gofmt itself fails (a file it cannot parse).
+fmt-check:
+	@out="$$($(GOFMT) -l $$(git ls-files '*.go'))" || exit 1; \
+	if [ -n "$$out" ]; then echo "gofmt -l flags:"; echo "$$out"; exit 1; fi
 
 # Full suite under the race detector (the reliability layer's
 # retransmission path is the main customer).
@@ -133,10 +140,12 @@ bench:
 	  $(GO) run ./cmd/progressbench -workload eagersgd -csv ) \
 	| $(GO) run ./cmd/benchjson -o BENCH_progress.json -check -tol 0.5 -eagerx 1.2
 
-# One-iteration smoke over every gated benchmark: proves they still
-# compile and run without paying for a full measurement.
+# One-iteration smoke over every gated benchmark, and the datatype
+# Pack/Unpack benchmarks in the MPI layer's call shapes: proves they
+# still compile and run without paying for a full measurement.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkProgress' -benchtime=1x ./internal/core/ ./internal/mpi/ > /dev/null
+	$(GO) test -run '^$$' -bench 'BenchmarkPack|BenchmarkUnpack' -benchtime=1x ./internal/datatype/ > /dev/null
 
 # The paper's evaluation figures (reduced sweeps).
 figures:
@@ -147,10 +156,11 @@ figures:
 mpixrun-smoke:
 	$(GO) run ./cmd/mpixrun -n 4 ./cmd/pingpong -iters 20
 
-# The PR gate: vet, build, the fast suite, the race pass over the
-# instrumented hot-path packages (includes the trylock/pool fast path
-# in core, mpi and nic), the TCP-transport race pass, the conformance
-# flake hunt, the shm/composite race pass, the continuation race pass,
-# the relaxed-allreduce race pass, the process-failure chaos matrix,
-# the benchmark smoke, and the multiprocess launcher smoke.
-ci: vet build test race-hot race-tcp race-tcp-stress conformance-stress race-shm race-cont race-eager chaos-tcp bench-smoke mpixrun-smoke
+# The CI gate: vet, the gofmt check, build, the fast suite, the race
+# pass over the instrumented hot-path packages (includes the
+# trylock/pool fast path in core, mpi and nic), the TCP-transport race
+# pass, the conformance flake hunt, the shm/composite race pass, the
+# continuation race pass, the relaxed-allreduce race pass, the
+# process-failure chaos matrix, the benchmark smoke, and the
+# multiprocess launcher smoke.
+ci: vet fmt-check build test race-hot race-tcp race-tcp-stress conformance-stress race-shm race-cont race-eager chaos-tcp bench-smoke mpixrun-smoke

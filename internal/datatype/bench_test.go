@@ -2,23 +2,39 @@ package datatype
 
 import "testing"
 
-func BenchmarkPackContiguous(b *testing.B) {
-	dt := Contiguous(1024, Byte)
-	src := make([]byte, 1024)
-	dst := make([]byte, 1024)
-	b.SetBytes(1024)
-	for i := 0; i < b.N; i++ {
-		Pack(dst, src, 1, dt)
+// packShapes are the call shapes the MPI layer makes: a 1 MiB byte
+// message is count = 1<<20 elements of Byte, an Allreduce of 8192
+// doubles is count = 8192 of Float64. The strided vector walks blocks
+// and is the non-contiguous control.
+var packShapes = []shape{
+	{"Byte-1MiB", Byte, 1 << 20},
+	{"Float64-8192", Float64, 8192},
+	{"Vector-strided-128KiB", Vector(64, 8, 16, Byte), 256},
+}
+
+func BenchmarkPack(b *testing.B) {
+	for _, s := range packShapes {
+		b.Run(s.name, func(b *testing.B) {
+			src := make([]byte, BufferSpan(s.count, s.dt))
+			dst := make([]byte, PackedSize(s.count, s.dt))
+			b.SetBytes(int64(len(dst)))
+			for i := 0; i < b.N; i++ {
+				Pack(dst, src, s.count, s.dt)
+			}
+		})
 	}
 }
 
-func BenchmarkPackVectorStrided(b *testing.B) {
-	dt := Vector(64, 8, 16, Byte) // 512 data bytes across a 1016-byte span
-	src := make([]byte, BufferSpan(1, dt))
-	dst := make([]byte, PackedSize(1, dt))
-	b.SetBytes(int64(dt.Size()))
-	for i := 0; i < b.N; i++ {
-		Pack(dst, src, 1, dt)
+func BenchmarkUnpack(b *testing.B) {
+	for _, s := range packShapes {
+		b.Run(s.name, func(b *testing.B) {
+			src := make([]byte, PackedSize(s.count, s.dt))
+			dst := make([]byte, BufferSpan(s.count, s.dt))
+			b.SetBytes(int64(len(src)))
+			for i := 0; i < b.N; i++ {
+				Unpack(dst, src, s.count, s.dt)
+			}
+		})
 	}
 }
 

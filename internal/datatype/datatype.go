@@ -227,8 +227,13 @@ func BufferSpan(count int, d *Datatype) int {
 
 // Pack gathers count elements laid out as d in src into the contiguous
 // dst, returning the number of bytes written. dst must have at least
-// PackedSize(count, d) capacity.
+// PackedSize(count, d) capacity. A contiguous layout moves as one copy;
+// any other walks its blocks element by element.
 func Pack(dst, src []byte, count int, d *Datatype) int {
+	if d.Contig() {
+		n := count * d.size
+		return copy(dst[:n], src[:n])
+	}
 	pos := 0
 	for i := 0; i < count; i++ {
 		base := i * d.extent
@@ -240,8 +245,13 @@ func Pack(dst, src []byte, count int, d *Datatype) int {
 }
 
 // Unpack scatters contiguous src bytes into dst laid out as d,
-// returning the number of bytes consumed.
+// returning the number of bytes consumed. Like Pack, a contiguous
+// layout moves as one copy.
 func Unpack(dst, src []byte, count int, d *Datatype) int {
+	if d.Contig() {
+		n := count * d.size
+		return copy(dst[:n], src[:n])
+	}
 	pos := 0
 	for i := 0; i < count; i++ {
 		base := i * d.extent

@@ -213,59 +213,91 @@ func TestNegativeArgsPanic(t *testing.T) {
 	}
 }
 
+// shape is one call shape of Pack, Unpack or an engine job: count
+// elements of dt.
+type shape struct {
+	name  string
+	dt    *Datatype
+	count int
+}
+
+// engineShapes are the layouts the async engine tests run: types that
+// walk blocks, and a contiguous Byte job whose total is not a multiple
+// of the chunk, so a step ends mid-run and the last one is short.
+var engineShapes = []shape{
+	{"vector-strided", Vector(8, 4, 6, Byte), 2},
+	{"indexed", Indexed([]int{2, 3}, []int{0, 4}, Byte), 3},
+	{"contiguous-byte", Byte, 100},
+}
+
 func TestEngineAsyncPack(t *testing.T) {
-	e := NewEngine(16) // tiny chunk to force multiple polls
-	dt := Vector(8, 4, 6, Byte)
-	count := 2
-	src := fill(BufferSpan(count, dt), 3)
-	wire := make([]byte, PackedSize(count, dt))
-	job := e.SubmitPack(wire, src, count, dt)
-	if job.IsComplete() {
-		t.Fatal("job complete before any poll")
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d", e.Pending())
-	}
-	polls := 0
-	for !job.IsComplete() {
-		if !e.Poll() {
-			t.Fatal("poll made no progress with pending job")
-		}
-		polls++
-		if polls > 100 {
-			t.Fatal("job never completed")
-		}
-	}
-	if polls < 2 {
-		t.Fatalf("expected multiple polls with chunk=16, got %d", polls)
-	}
-	want := make([]byte, len(wire))
-	Pack(want, src, count, dt)
-	if !bytes.Equal(wire, want) {
-		t.Fatal("async pack result differs from sync pack")
-	}
-	if e.Pending() != 0 || e.Poll() {
-		t.Fatal("engine should be idle")
+	for _, l := range engineShapes {
+		t.Run(l.name, func(t *testing.T) {
+			e := NewEngine(16) // tiny chunk to force multiple polls
+			src := fill(BufferSpan(l.count, l.dt), 3)
+			wire := make([]byte, PackedSize(l.count, l.dt))
+			job := e.SubmitPack(wire, src, l.count, l.dt)
+			if job.IsComplete() {
+				t.Fatal("job complete before any poll")
+			}
+			if e.Pending() != 1 {
+				t.Fatalf("pending = %d", e.Pending())
+			}
+			polls := 0
+			for !job.IsComplete() {
+				if !e.Poll() {
+					t.Fatal("poll made no progress with pending job")
+				}
+				polls++
+				if polls > 100 {
+					t.Fatal("job never completed")
+				}
+			}
+			if wantPolls := (len(wire) + 15) / 16; polls != wantPolls {
+				t.Fatalf("polls = %d, want %d with chunk=16 and %d bytes", polls, wantPolls, len(wire))
+			}
+			want := make([]byte, len(wire))
+			refPack(want, src, l.count, l.dt)
+			if !bytes.Equal(wire, want) {
+				t.Fatal("async pack result differs from reference")
+			}
+			if job.BytesMoved() != len(wire) {
+				t.Fatalf("BytesMoved = %d, want %d", job.BytesMoved(), len(wire))
+			}
+			if e.Pending() != 0 || e.Poll() {
+				t.Fatal("engine should be idle")
+			}
+		})
 	}
 }
 
 func TestEngineAsyncUnpack(t *testing.T) {
-	e := NewEngine(8)
-	dt := Indexed([]int{2, 3}, []int{0, 4}, Byte)
-	count := 3
-	wire := fill(PackedSize(count, dt), 11)
-	typed := make([]byte, BufferSpan(count, dt))
-	job := e.SubmitUnpack(typed, wire, count, dt)
-	for !job.IsComplete() {
-		e.Poll()
-	}
-	want := make([]byte, len(typed))
-	Unpack(want, wire, count, dt)
-	if !bytes.Equal(typed, want) {
-		t.Fatal("async unpack differs from sync unpack")
-	}
-	if job.BytesMoved() != len(wire) {
-		t.Fatalf("BytesMoved = %d, want %d", job.BytesMoved(), len(wire))
+	for _, l := range engineShapes {
+		t.Run(l.name, func(t *testing.T) {
+			e := NewEngine(8)
+			wire := fill(PackedSize(l.count, l.dt), 11)
+			typed := fill(BufferSpan(l.count, l.dt), 12)
+			want := append([]byte(nil), typed...)
+			job := e.SubmitUnpack(typed, wire, l.count, l.dt)
+			polls := 0
+			for !job.IsComplete() {
+				e.Poll()
+				polls++
+				if polls > 100 {
+					t.Fatal("job never completed")
+				}
+			}
+			if wantPolls := (len(wire) + 7) / 8; polls != wantPolls {
+				t.Fatalf("polls = %d, want %d with chunk=8 and %d bytes", polls, wantPolls, len(wire))
+			}
+			refUnpack(want, wire, l.count, l.dt)
+			if !bytes.Equal(typed, want) {
+				t.Fatal("async unpack differs from reference")
+			}
+			if job.BytesMoved() != len(wire) {
+				t.Fatalf("BytesMoved = %d, want %d", job.BytesMoved(), len(wire))
+			}
+		})
 	}
 }
 

@@ -75,13 +75,13 @@ type wireHdr struct {
 
 // netSendState tracks one rendezvous send on the sender side.
 type netSendState struct {
-	req   *Request
-	vci   *VCI
-	wire  []byte
-	dstEP fabric.EndpointID
-	rreq  *Request // learned from the CTS (in-process)
-	rreqID uint64  // learned from the CTS (remote)
-	hid    uint64  // this state's own handle id
+	req    *Request
+	vci    *VCI
+	wire   []byte
+	dstEP  fabric.EndpointID
+	rreq   *Request // learned from the CTS (in-process)
+	rreqID uint64   // learned from the CTS (remote)
+	hid    uint64   // this state's own handle id
 
 	// ctx/tag echo the send's envelope so a revocation sweep can key
 	// the handle table by communicator (and exempt FT-protocol tags).

@@ -15,9 +15,10 @@ import (
 type wireCodec struct{}
 
 // wireHdrLen is the fixed encoded header size (payload length prefix
-// included).
+// included). The terms are the field widths in encoding order:
+//
+//	kind src ctx tag bytes srcEP sreqID rreqID flow off last plen
 const wireHdrLen = 1 + 4 + 4 + 8 + 4 + 8 + 8 + 8 + 8 + 4 + 1 + 4
-// fields:  kind src ctx tag bytes srcEP sreqID rreqID flow off last plen
 
 func (wireCodec) Encode(buf []byte, payload any) ([]byte, error) {
 	h, ok := payload.(*wireHdr)

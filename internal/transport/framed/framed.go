@@ -13,7 +13,8 @@
 //     CQE), or it fails fast with an error CQE and a nil return;
 //   - the PeerDown verdict CQE precedes every failed-frame CQE of the
 //     peer it names;
-//   - posts fail fast once the peer has a verdict or has departed.
+//   - posts fail fast once the peer has a verdict or has departed;
+//   - a closing transport fails the frames it still holds, each once.
 //
 // What differs between the transports stays with them: how bytes leave
 // the queue (tcp's vectored socket writes, shm's ring-cell pump), how
@@ -208,6 +209,20 @@ func (h *Hub) MarkDeparted(p *Peer) {
 	frames := p.Q.TakeAll(nil)
 	p.Mu.Unlock()
 	h.FailFrames(frames, h.departedErr(p.Rank))
+}
+
+// CloseQueue is the closing transport's rule for p's out-queue. The
+// caller holds p.Mu and has made its last write toward p (shm's
+// goodbye pump, which settles what it publishes; tcp's closed
+// connection). Every frame not yet handed to the medium fails with an
+// ErrLinkDown-wrapped cause, since no later flush will send it, and
+// later posts toward p fail fast with the same cause. No verdict fans
+// out: the close is local, not a fault of the peer.
+func (h *Hub) CloseQueue(p *Peer, cause error) {
+	if p.down == nil {
+		p.down = cause
+	}
+	h.FailFrames(p.Q.TakeAll(nil), cause)
 }
 
 func (h *Hub) departedErr(rank int) error {

@@ -347,15 +347,14 @@ func (n *Network) shutdown(goodbye bool) {
 		}
 		p.Mu.Lock()
 		if goodbye && p.Live() {
-			p.tx.pumpFrom(&p.Q)
+			n.pumpPeerLocked(p)
 			p.tx.sayGoodbye()
 			// Ring unconditionally so an idle peer notices the goodbye
 			// marker (and any final frames) without waiting out a timer.
 			n.ringPeerLocked(p)
 		}
-		frames := p.Q.TakeAll(nil)
+		n.hub.CloseQueue(&p.Peer, errClosed)
 		p.Mu.Unlock()
-		n.hub.FailFrames(frames, errClosed)
 	}
 	// Stop the doorbell watcher before tearing down: closing the FIFO
 	// unblocks its parked read. The rxMu discipline already makes its

@@ -1,7 +1,6 @@
 package tcp
 
 import (
-	"errors"
 	"time"
 )
 
@@ -75,7 +74,7 @@ func (n *Network) watchConn(cs *connState) error {
 		select {
 		case <-cs.drained:
 		case <-n.closeCh:
-			return cs.takeCause(errors.New("tcp: transport closed"))
+			return cs.takeCause(errClosed)
 		}
 		if cs.dead.Load() {
 			return cs.takeCause(nil)

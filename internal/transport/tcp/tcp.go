@@ -80,8 +80,12 @@ const helloMagic = 0x6d706978 // "mpix"
 // apart.
 const goodbyeMark = 0xFFFFFFFF
 
-// errPeerDeparted is the connection exit cause after a goodbye.
-var errPeerDeparted = errors.New("tcp: peer departed cleanly")
+var (
+	// errPeerDeparted is the connection exit cause after a goodbye.
+	errPeerDeparted = errors.New("tcp: peer departed cleanly")
+	// errClosed fails what the transport still holds when it closes.
+	errClosed = errors.New("tcp: transport closed")
+)
 
 // Config describes one rank's slot in a multi-process TCP world.
 type Config struct {
@@ -388,6 +392,18 @@ func (n *Network) shutdown(goodbye bool) {
 	n.ln.Close()
 	for _, cs := range conns {
 		cs.conn.Close()
+	}
+	// Settle every queue once the connections are closed: that
+	// unblocks a flush stuck in a write (it rewinds its cut frame), and
+	// no flush runs after the close, so frames still queued would
+	// otherwise never complete.
+	for _, p := range n.peers {
+		if p == nil {
+			continue
+		}
+		p.Mu.Lock()
+		n.hub.CloseQueue(&p.Peer, errClosed)
+		p.Mu.Unlock()
 	}
 	n.wg.Wait()
 }
@@ -737,10 +753,7 @@ func (n *Network) dial(p *peer) {
 		return
 	}
 	if !n.startConn(conn, p.Rank) {
-		// Transport closed while dialing: settle the queue (the hub
-		// skips the verdict fan-out once closed).
-		n.hub.Verdict(&p.Peer, errors.New("tcp: transport closed"))
-		return
+		return // transport closed while dialing; shutdown settles the queue
 	}
 	p.Mu.Lock()
 	p.conn = conn
@@ -760,8 +773,8 @@ func (n *Network) dial(p *peer) {
 // kernel accepted settle as usual; the watermark rewinds to the end of
 // the last of them, so a frame cut short goes out again whole; and the
 // queue waits for the bounded re-dial to resend it — or for the
-// verdict, which fails it after the PeerDown CQE. Only a departed peer
-// or a closing transport, for which no re-dial runs, fails it here.
+// verdict, which fails it after the PeerDown CQE. A closing transport
+// runs no re-dial; its shutdown fails the queue (Hub.CloseQueue).
 func (n *Network) flushPeer(p *peer) (made, waiting bool) {
 	p.Mu.Lock()
 	if p.Q.Pending() == 0 {
@@ -788,12 +801,7 @@ func (n *Network) flushPeer(p *peer) (made, waiting bool) {
 		p.Q.Rewind()
 		probe := n.startProbeLocked(p)
 		waiting = p.probing || p.dialing
-		var lost []framed.OutFrame
-		if !waiting {
-			lost = p.Q.TakeAll(nil) // closing: no re-dial will resend them
-		}
 		p.Mu.Unlock()
-		n.hub.FailFrames(lost, err)
 		if probe {
 			n.wg.Add(1)
 			go n.redial(p, err)

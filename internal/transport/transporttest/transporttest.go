@@ -92,6 +92,15 @@ func Run(t *testing.T, f Factory) {
 		}
 		testPeerDownVerdict(t, f)
 	})
+	t.Run("CloseSettlesQueued", func(t *testing.T) {
+		if !f.Caps.Goodbye {
+			t.Skipf("%s: no goodbye capability", f.Name)
+		}
+		testCloseSettlesQueued(t, f, "close", func(w *World) { w.Goodbye(0) })
+		if f.Caps.Failures {
+			testCloseSettlesQueued(t, f, "kill", func(w *World) { w.Kill(0) })
+		}
+	})
 }
 
 func (w *World) setup(t *testing.T) {
@@ -378,4 +387,69 @@ func testPeerDownVerdict(t *testing.T, f Factory) {
 	wait(t, w, "fail-fast after verdict", func() bool {
 		return src.PostSendInline(dstID, seqMsg(9, 8), 8) != nil
 	})
+}
+
+// testCloseSettlesQueued: signaled frames still queued toward a live
+// peer when the sender's own transport closes — gracefully or by a
+// kill — each complete exactly once by the time shut returns, and
+// nothing stays pending. A frame fails with an ErrLinkDown error
+// unless the transport handed it to the medium: settled before the
+// close (an inline publish, a background flush) or during it (shm's
+// goodbye pump). The case repeats until a close found at least one
+// frame still queued.
+func testCloseSettlesQueued(t *testing.T, f Factory, how string, shut func(*World)) {
+	for attempt := 0; attempt < 5; attempt++ {
+		if closeQueued(t, f, how, shut) > 0 {
+			return
+		}
+	}
+	t.Fatalf("%s: every frame settled before the close in 5 attempts; the case checked nothing", how)
+}
+
+// closeQueued runs one attempt of testCloseSettlesQueued and returns
+// how many frames were still queued when shut began.
+func closeQueued(t *testing.T, f Factory, how string, shut func(*World)) (queued int) {
+	w := f.New(t, 2)
+	w.setup(t)
+	src, dst := w.Links[0], w.Links[1]
+	pender, ok := src.(nic.TxPender)
+	if !ok {
+		t.Fatalf("%s link does not report pending frames (nic.TxPender)", f.Name)
+	}
+	if err := src.PostSendInline(dst.ID(), seqMsg(0, 8), 8); err != nil {
+		t.Fatal(err)
+	}
+	wait(t, w, "warmup delivery", func() bool { return dst.QueuedRQ() >= 1 && pender.PendingTx() == 0 })
+
+	const count = 8
+	for i := 0; i < count; i++ {
+		if err := src.PostSend(dst.ID(), seqMsg(uint32(i), 16), 16, i); err != nil {
+			t.Fatalf("%s: post %d: %v", how, i, err)
+		}
+	}
+	queued = pender.PendingTx()
+	shut(w)
+	done := make(map[int]bool, count)
+	for _, c := range src.DrainCQ(make([]nic.CQE, 0, 2*count)) {
+		if _, isVerdict := c.Token.(nic.PeerDown); isVerdict {
+			t.Fatalf("%s: closing transport surfaced a verdict CQE: %+v", how, c)
+		}
+		i, ok := c.Token.(int)
+		if !ok || i < 0 || i >= count || done[i] {
+			t.Fatalf("%s: bad or duplicate completion token %v", how, c.Token)
+		}
+		done[i] = true
+		if c.Err != nil {
+			if !errors.Is(c.Err, nic.ErrLinkDown) {
+				t.Fatalf("%s: queued frame %d completed with %v, want ErrLinkDown", how, i, c.Err)
+			}
+		}
+	}
+	if len(done) != count {
+		t.Fatalf("%s: %d of %d tokens completed by the close", how, len(done), count)
+	}
+	if n := pender.PendingTx(); n != 0 {
+		t.Fatalf("%s: PendingTx = %d after the close, want 0", how, n)
+	}
+	return queued
 }
